@@ -1,12 +1,15 @@
 // Embedded time-series store bench (DESIGN.md §13): compression ratio of
 // the delta-of-delta + XOR codec against the CSV dataset format on D1-sim,
-// single-writer append throughput, and query-time anomaly-rate aggregation
-// latency (p50/p99 over repeated fleet scans). Writes BENCH_store.json
-// (--json=<path>).
+// single-writer append throughput, StoreWriter drain throughput at 256
+// nodes against serial appends of the same batches, and query-time
+// anomaly-rate aggregation latency (p50/p99 over repeated fleet scans).
+// Writes BENCH_store.json (--json=<path>), stamped with the host, build
+// type, kernel tier and commit.
 //
 // Doubles as a regression gate: exits non-zero when the sealed store is
 // less than 5x smaller than the equivalent CSV bytes — the headline claim
-// a ring-retention deployment sizes its disks by.
+// a ring-retention deployment sizes its disks by — or when the writer
+// seals a different number of bytes than serial appends of its input.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -21,7 +24,9 @@
 #include "common/stopwatch.hpp"
 #include "io/dataset_io.hpp"
 #include "sim/dataset_builder.hpp"
+#include "common/thread_pool.hpp"
 #include "store/query.hpp"
+#include "store/writer.hpp"
 
 namespace {
 
@@ -118,6 +123,62 @@ int main(int argc, char** argv) {
               csv_bytes, store_bytes, ratio, full_precision_ratio,
               samples_per_sec);
 
+  // Write path through the async writer, in the serve deployment's shape:
+  // one hand-off holding every node's batch (what finalize() hands over),
+  // then drain(). 256 nodes, node n replaying D1 node n % 32 over the first
+  // kWriterTicks ticks as sealed above (job ids and anomaly bits included).
+  // The serial arm appends the same batches with TimeSeriesStore::append on
+  // one thread.
+  constexpr std::size_t kWriterNodes = 256, kWriterTicks = 720;
+  std::vector<StoreWriter::Batch> handoff(kWriterNodes);
+  for (std::size_t n = 0; n < kWriterNodes; ++n) {
+    handoff[n].node = n;
+    if (n < sim.data.num_nodes()) {
+      TimeSeriesStore::Cursor cursor = store.range(n, 0, kWriterTicks);
+      StoreSample sample;
+      while (cursor.next(sample)) handoff[n].samples.push_back(sample);
+    } else {
+      handoff[n].samples = handoff[n % sim.data.num_nodes()].samples;
+    }
+  }
+  std::size_t writer_samples = 0;
+  for (const StoreWriter::Batch& batch : handoff)
+    writer_samples += batch.samples.size();
+  StoreMeta writer_meta;
+  writer_meta.metrics = telemetry.metrics;
+  writer_meta.interval_seconds = telemetry.interval_seconds;
+  for (std::size_t n = 0; n < kWriterNodes; ++n)
+    writer_meta.node_names.push_back("node" + std::to_string(n));
+
+  TimeSeriesStore serial_store = TimeSeriesStore::create(
+      (work / "writer_serial").string(), writer_meta);
+  Stopwatch serial_watch;
+  for (const StoreWriter::Batch& batch : handoff)
+    for (const StoreSample& sample : batch.samples)
+      serial_store.append(batch.node, sample);
+  serial_store.flush();
+  const double serial_seconds = serial_watch.elapsed_s();
+
+  double drain_seconds = 0.0;
+  std::uint64_t writer_bytes = 0;
+  {
+    StoreWriter writer(TimeSeriesStore::create(
+        (work / "writer_parallel").string(), std::move(writer_meta)));
+    Stopwatch drain_watch;
+    writer.enqueue(std::move(handoff));
+    writer.drain();
+    drain_seconds = drain_watch.elapsed_s();
+    writer_bytes = writer.store().sealed_bytes();
+  }
+  const double serial_per_sec =
+      static_cast<double>(writer_samples) / serial_seconds;
+  const double drain_per_sec =
+      static_cast<double>(writer_samples) / drain_seconds;
+  std::printf("writer: %zu nodes, %zu samples, serial append %.0f samples/s, "
+              "StoreWriter drain %.0f samples/s (%.2fx, %zu pool threads)\n",
+              kWriterNodes, writer_samples, serial_per_sec, drain_per_sec,
+              drain_per_sec / serial_per_sec, ThreadPool::global().size());
+
   // Query path: full-fleet anomaly-rate scans (decompress every page,
   // aggregate the in-band bits at query time).
   const std::size_t kScans = 50;
@@ -149,6 +210,7 @@ int main(int argc, char** argv) {
 
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n");
+    std::fprintf(f, "  \"host\": %s,\n", bench::host_stamp_json().c_str());
     std::fprintf(f, "  \"dataset\": \"d1_sim\",\n");
     std::fprintf(f, "  \"nodes\": %zu,\n", sim.data.num_nodes());
     std::fprintf(f, "  \"metrics\": %zu,\n", sim.data.num_metrics());
@@ -162,6 +224,14 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"bytes_per_sample\": %.2f,\n",
                  store_bytes / static_cast<double>(total_samples));
     std::fprintf(f, "  \"write_samples_per_sec\": %.0f,\n", samples_per_sec);
+    std::fprintf(f, "  \"writer_nodes\": %zu,\n", kWriterNodes);
+    std::fprintf(f, "  \"writer_samples\": %zu,\n", writer_samples);
+    std::fprintf(f, "  \"writer_pool_threads\": %zu,\n",
+                 ThreadPool::global().size());
+    std::fprintf(f, "  \"writer_serial_samples_per_sec\": %.0f,\n",
+                 serial_per_sec);
+    std::fprintf(f, "  \"writer_drain_samples_per_sec\": %.0f,\n",
+                 drain_per_sec);
     std::fprintf(f, "  \"anomaly_rate_scan_p50_us\": %.1f,\n", scan.p50_us);
     std::fprintf(f, "  \"anomaly_rate_scan_p99_us\": %.1f,\n", scan.p99_us);
     std::fprintf(f, "  \"anomaly_rate_scan_max_us\": %.1f,\n", scan.max_us);
@@ -177,6 +247,13 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(work);
 
+  if (writer_bytes != serial_store.sealed_bytes()) {
+    std::fprintf(stderr, "FAIL: StoreWriter sealed %llu bytes, serial appends "
+                         "of the same batches %llu\n",
+                 static_cast<unsigned long long>(writer_bytes),
+                 static_cast<unsigned long long>(serial_store.sealed_bytes()));
+    return 1;
+  }
   // Size gate: the store must stay >= 5x denser than CSV on D1-sim.
   const double kMinRatio = 5.0;
   if (ratio < kMinRatio) {

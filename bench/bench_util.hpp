@@ -2,12 +2,15 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/nodesentry.hpp"
 #include "eval/metrics.hpp"
 #include "sim/dataset_builder.hpp"
+#include "tensor/kernels.hpp"
 
 namespace ns::bench {
 
@@ -63,6 +66,59 @@ inline std::string format_seconds(double seconds) {
   else
     std::snprintf(buffer, sizeof buffer, "%.1f min", seconds / 60.0);
   return buffer;
+}
+
+/// Escapes `s` as a JSON string literal.
+inline std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+/// The CPU model line of /proc/cpuinfo ("unknown" elsewhere).
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "unknown";
+}
+
+/// `git describe --always --dirty` of the source tree the bench was built
+/// from ("unknown" without git or outside a checkout).
+inline std::string git_commit() {
+  std::string out;
+  const std::string cmd =
+      std::string("git -C \"") + NS_SOURCE_DIR +
+      "\" describe --always --dirty 2>/dev/null";
+  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof buffer, pipe)) out += buffer;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+/// Where a BENCH_*.json number was measured: one JSON object with the
+/// hardware threads, CPU model, build type, kernel dispatch tier and git
+/// commit.
+inline std::string host_stamp_json() {
+  return std::string("{\"nproc\": ") +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": " + json_string(cpu_model()) +
+         ", \"build_type\": " + json_string(NS_BUILD_TYPE) +
+         ", \"kernel_tier\": " +
+         json_string(kernel_tier_name(kernel_dispatch_tier())) +
+         ", \"commit\": " + json_string(git_commit()) + "}";
 }
 
 }  // namespace ns::bench

@@ -16,15 +16,31 @@
 namespace ns {
 namespace {
 
-std::array<std::uint32_t, 256> build_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: tables[0] is the classic byte table, and
+/// tables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// input bytes fold into the CRC with eight lookups at once.
+CrcTables build_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[k][i] = (tables[k - 1][i] >> 8) ^
+                     tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 void append_u32(std::string& out, std::uint32_t v) {
@@ -54,11 +70,18 @@ std::uint64_t parse_u64(const char* p) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = build_crc_table();
+  static const CrcTables t = build_crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i)
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t lo = c ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes)
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -999,18 +999,21 @@ ServeResult ServeEngine::finalize() {
   if (config_.store_writer != nullptr) {
     // Flag time: each retained sample gets its in-band anomaly bit from
     // the thresholded predictions — immutable "what was detectable THEN"
-    // history — then the per-node batches go to the async writer. The
-    // caller drains the writer when it wants the store durable.
+    // history — then every node's batch goes to the async writer as one
+    // hand-off, so the writer's queue bound can never drop part of this
+    // finalize. The caller drains the writer when it wants the store
+    // durable.
+    std::vector<StoreWriter::Batch> handoff;
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
       if (retained_[n].empty()) continue;
-      StoreWriter::Batch batch;
+      StoreWriter::Batch& batch = handoff.emplace_back();
       batch.node = n;
       batch.samples = std::move(retained_[n]);
       const std::vector<std::uint8_t>& flags = result.detections[n].predictions;
       for (StoreSample& sample : batch.samples)
         sample.anomaly = sample.t < flags.size() && flags[sample.t] != 0;
-      config_.store_writer->enqueue(std::move(batch));
     }
+    config_.store_writer->enqueue(std::move(handoff));
   }
   result.stats = stats();
   return result;

@@ -154,8 +154,10 @@ struct ServeConfig {
   /// When set, every real ingested row is retained (raw values + job id +
   /// validity summary) and handed to this writer at flag time — finalize()
   /// stamps each sample's in-band anomaly bit from the thresholded
-  /// predictions, then enqueues per-node batches (bounded queue,
-  /// drop-oldest; never blocks the collector loop). Gap-filled placeholder
+  /// predictions, then hands every node's batch to the writer as one
+  /// hand-off (the writer's queue bounds hand-offs, so one finalize never
+  /// loses a node's history to the bound; never blocks the collector
+  /// loop; nodes are sealed in parallel). Gap-filled placeholder
   /// rows are NOT stored: the store records what actually arrived, and
   /// reconstruction restores the holes as NaN. The writer's store must
   /// have the engine's node count and the sentry's raw metric count.

@@ -1,25 +1,27 @@
 #include "store/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace ns {
 
-// ------------------------------------------------------------- BitWriter
-
-void BitWriter::write_bit(std::uint32_t bit) {
-  const std::size_t byte = bits_ >> 3;
-  if (byte >= buf_.size()) buf_.push_back(0);
-  if (bit & 1u) buf_[byte] |= static_cast<std::uint8_t>(1u << (bits_ & 7));
-  ++bits_;
+void store_detail::throw_bad_bit_count(std::size_t count) {
+  throw InvalidArgument("bit stream: count " + std::to_string(count) +
+                        " > 64");
 }
 
-void BitWriter::write_bits(std::uint64_t value, std::size_t count) {
-  NS_REQUIRE(count <= 64, "BitWriter: count " << count << " > 64");
-  for (std::size_t i = 0; i < count; ++i)
-    write_bit(static_cast<std::uint32_t>((value >> i) & 1u));
+void store_detail::throw_bit_stream_truncated() {
+  throw ParseError("store page: bit stream truncated");
+}
+
+// ------------------------------------------------------------- BitWriter
+
+void BitWriter::grow(std::size_t byte) {
+  buf_.resize(std::max<std::size_t>(2 * buf_.size(), byte + 64), 0);
 }
 
 void BitWriter::write_varint(std::uint64_t value) {
@@ -34,38 +36,25 @@ void BitWriter::truncate(std::size_t bit_position) {
   NS_REQUIRE(bit_position <= bits_,
              "BitWriter: truncate past end (" << bit_position << " > "
                                               << bits_ << ")");
+  // Zero the dropped bits so later writes OR into zeros.
+  const std::size_t keep = (bit_position + 7) / 8;
+  std::fill(buf_.begin() + static_cast<std::ptrdiff_t>(keep),
+            buf_.begin() + static_cast<std::ptrdiff_t>(byte_count()), 0);
+  if (bit_position & 7)
+    buf_[keep - 1] &=
+        static_cast<std::uint8_t>((1u << (bit_position & 7)) - 1u);
   bits_ = bit_position;
-  buf_.resize((bits_ + 7) / 8);
-  // Clear the dead bits of the tail byte so re-appending ORs into zeros.
-  if (bits_ & 7)
-    buf_.back() &= static_cast<std::uint8_t>((1u << (bits_ & 7)) - 1u);
 }
 
 std::vector<std::uint8_t> BitWriter::take() {
-  std::vector<std::uint8_t> out = std::move(buf_);
-  buf_.clear();
+  const auto end = buf_.begin() + static_cast<std::ptrdiff_t>(byte_count());
+  std::vector<std::uint8_t> out(buf_.begin(), end);
+  std::fill(buf_.begin(), end, 0);
   bits_ = 0;
   return out;
 }
 
 // ------------------------------------------------------------- BitReader
-
-std::uint32_t BitReader::read_bit() {
-  const std::size_t byte = pos_ >> 3;
-  if (byte >= buf_.size())
-    throw ParseError("store page: bit stream truncated");
-  const std::uint32_t bit = (buf_[byte] >> (pos_ & 7)) & 1u;
-  ++pos_;
-  return bit;
-}
-
-std::uint64_t BitReader::read_bits(std::size_t count) {
-  NS_REQUIRE(count <= 64, "BitReader: count " << count << " > 64");
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < count; ++i)
-    value |= static_cast<std::uint64_t>(read_bit()) << i;
-  return value;
-}
 
 std::uint64_t BitReader::read_varint() {
   std::uint64_t value = 0;
@@ -86,18 +75,22 @@ namespace {
 
 /// Delta-of-delta buckets: '0' zero; '10'+7b; '110'+12b; '1110'+20b;
 /// '1111'+64b raw zigzag. A steady cadence hits the 1-bit bucket every row.
+/// The prefix is written LSB-first, so '10' is the value 0b01; a bucket's
+/// prefix and payload go out as one word.
 void write_dod(BitWriter& w, std::int64_t dod) {
   if (dod == 0) {
-    w.write_bit(0);
+    w.write_bits(0, 1);
   } else if (dod >= -63 && dod < 64) {
-    w.write_bits(0b01u, 2);  // LSB-first: reads back as '1' then '0'
-    w.write_bits(static_cast<std::uint64_t>(dod + 63) & 0x7Fu, 7);
+    w.write_bits(0b01u | (static_cast<std::uint64_t>(dod + 63) & 0x7Fu) << 2,
+                 2 + 7);
   } else if (dod >= -2047 && dod < 2048) {
-    w.write_bits(0b011u, 3);
-    w.write_bits(static_cast<std::uint64_t>(dod + 2047) & 0xFFFu, 12);
+    w.write_bits(
+        0b011u | (static_cast<std::uint64_t>(dod + 2047) & 0xFFFu) << 3,
+        3 + 12);
   } else if (dod >= -(1 << 19) && dod < (1 << 19)) {
-    w.write_bits(0b0111u, 4);
-    w.write_bits(static_cast<std::uint64_t>(dod + (1 << 19)) & 0xFFFFFu, 20);
+    w.write_bits(
+        0b0111u | (static_cast<std::uint64_t>(dod + (1 << 19)) & 0xFFFFFu) << 4,
+        4 + 20);
   } else {
     w.write_bits(0b1111u, 4);
     w.write_bits(zigzag_encode(dod), 64);
@@ -120,7 +113,7 @@ std::int64_t read_dod(BitReader& r) {
 PageBuilder::PageBuilder(std::size_t num_metrics, std::size_t capacity_bytes)
     : num_metrics_(num_metrics),
       capacity_bytes_(capacity_bytes),
-      metrics_(num_metrics) {
+      metrics_(2 * num_metrics) {
   NS_REQUIRE(num_metrics_ > 0, "PageBuilder: zero metrics");
   NS_REQUIRE(capacity_bytes_ > 0, "PageBuilder: zero capacity");
 }
@@ -133,13 +126,13 @@ bool PageBuilder::append(const StoreSample& sample) {
   NS_REQUIRE(samples_ == 0 || sample.t > prev_t_,
              "PageBuilder: ticks must be strictly increasing ("
                  << sample.t << " after " << prev_t_ << ")");
-  // Snapshot so an over-capacity row can be rolled back exactly.
+  // An over-capacity row is rolled back: the bits are truncated, the
+  // scalars restored, and the metric state was only written to the
+  // inactive half.
   const std::size_t mark = writer_.bit_count();
   const std::size_t saved_prev_t = prev_t_;
   const std::int64_t saved_prev_delta = prev_delta_;
   const std::int64_t saved_prev_job = prev_job_;
-  std::vector<MetricState> saved_metrics;
-  if (samples_ > 0) saved_metrics = metrics_;
 
   encode_row(sample);
 
@@ -148,26 +141,28 @@ bool PageBuilder::append(const StoreSample& sample) {
     prev_t_ = saved_prev_t;
     prev_delta_ = saved_prev_delta;
     prev_job_ = saved_prev_job;
-    metrics_ = std::move(saved_metrics);
     return false;
   }
+  active_ ^= 1;
   if (samples_ == 0) first_t_ = sample.t;
   ++samples_;
   return true;
 }
 
 void PageBuilder::encode_row(const StoreSample& sample) {
+  const MetricState* prev = metrics_.data() + active_ * num_metrics_;
+  MetricState* next = metrics_.data() + (active_ ^ 1) * num_metrics_;
+  const std::uint64_t flags =
+      (sample.anomaly ? 1u : 0u) | (sample.valid ? 2u : 0u);
   if (samples_ == 0) {
     // First row stored in full: the page is independently decodable.
     writer_.write_varint(sample.t);
     writer_.write_varint(zigzag_encode(sample.job_id));
-    writer_.write_bit(sample.anomaly ? 1 : 0);
-    writer_.write_bit(sample.valid ? 1 : 0);
+    writer_.write_bits(flags, 2);
     for (std::size_t m = 0; m < num_metrics_; ++m) {
       const std::uint32_t bits = std::bit_cast<std::uint32_t>(sample.values[m]);
       writer_.write_bits(bits, 32);
-      metrics_[m].prev_bits = bits;
-      metrics_[m].meaningful = 0;
+      next[m] = MetricState{bits, 0, 0};
     }
     prev_t_ = sample.t;
     prev_delta_ = 0;
@@ -179,22 +174,23 @@ void PageBuilder::encode_row(const StoreSample& sample) {
   write_dod(writer_, delta - prev_delta_);
   prev_delta_ = delta;
   prev_t_ = sample.t;
+  // Job-change bit, then the anomaly and validity bits.
   if (sample.job_id == prev_job_) {
-    writer_.write_bit(0);
+    writer_.write_bits(flags << 1, 3);
   } else {
-    writer_.write_bit(1);
+    writer_.write_bits(1, 1);
     writer_.write_varint(zigzag_encode(sample.job_id - prev_job_));
+    writer_.write_bits(flags, 2);
     prev_job_ = sample.job_id;
   }
-  writer_.write_bit(sample.anomaly ? 1 : 0);
-  writer_.write_bit(sample.valid ? 1 : 0);
   for (std::size_t m = 0; m < num_metrics_; ++m) {
-    MetricState& st = metrics_[m];
+    MetricState st = prev[m];
     const std::uint32_t bits = std::bit_cast<std::uint32_t>(sample.values[m]);
     const std::uint32_t x = bits ^ st.prev_bits;
     st.prev_bits = bits;
     if (x == 0) {
-      writer_.write_bit(0);
+      writer_.write_bits(0, 1);
+      next[m] = st;
       continue;
     }
     const std::uint32_t lead = static_cast<std::uint32_t>(std::countl_zero(x));
@@ -204,17 +200,19 @@ void PageBuilder::encode_row(const StoreSample& sample) {
         st.meaningful > 0 ? 32u - st.leading - st.meaningful : 0;
     if (st.meaningful > 0 && lead >= st.leading && trail >= prev_trail) {
       // Fits the previous window: '10' + the window's meaningful bits.
-      writer_.write_bits(0b01u, 2);
-      writer_.write_bits(x >> prev_trail, st.meaningful);
+      writer_.write_bits(
+          0b01u | static_cast<std::uint64_t>(x >> prev_trail) << 2,
+          2 + st.meaningful);
     } else {
       // New window: '11' + 5b leading + 5b (len-1) + the meaningful bits.
-      writer_.write_bits(0b11u, 2);
-      writer_.write_bits(lead, 5);
-      writer_.write_bits(mlen - 1, 5);
-      writer_.write_bits(x >> trail, mlen);
+      writer_.write_bits(0b11u | std::uint64_t{lead} << 2 |
+                             std::uint64_t{mlen - 1} << 7 |
+                             static_cast<std::uint64_t>(x >> trail) << 12,
+                         12 + mlen);
       st.leading = static_cast<std::uint8_t>(lead);
       st.meaningful = static_cast<std::uint8_t>(mlen);
     }
+    next[m] = st;
   }
 }
 
@@ -225,7 +223,7 @@ std::vector<std::uint8_t> PageBuilder::finish() {
   prev_t_ = 0;
   prev_delta_ = 0;
   prev_job_ = 0;
-  for (MetricState& st : metrics_) st = MetricState{};
+  // The metric state needs no reset: a page's first row writes all of it.
   return payload;
 }
 

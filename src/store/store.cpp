@@ -366,7 +366,7 @@ void TimeSeriesStore::append(std::size_t node, const StoreSample& sample) {
   }
   shard.last_t = sample.t;
   shard.any_t = true;
-  ++stats_.samples_appended;
+  ++shard.stats.samples_appended;
 }
 
 void TimeSeriesStore::seal_page(std::size_t node) {
@@ -385,7 +385,7 @@ void TimeSeriesStore::seal_page(std::size_t node) {
   if (!shard.out) {
     if (shard.pages_in_current == 0) {
       evict_segments(node);
-      ++stats_.segments_started;
+      ++shard.stats.segments_started;
     }
     shard.out = std::make_unique<std::ofstream>(
         segment_path(node, shard.next_seq),
@@ -410,8 +410,8 @@ void TimeSeriesStore::seal_page(std::size_t node) {
   shard.any_sealed = true;
   shard.current_offset += kPageFrameHeaderSize + payload.size();
   ++shard.pages_in_current;
-  ++stats_.pages_sealed;
-  stats_.bytes_written += kPageFrameHeaderSize + payload.size();
+  ++shard.stats.pages_sealed;
+  shard.stats.bytes_written += kPageFrameHeaderSize + payload.size();
   if (shard.pages_in_current >= config_.segment_pages) {
     shard.out->flush();
     shard.out.reset();
@@ -431,9 +431,8 @@ void TimeSeriesStore::evict_segments(std::size_t node) {
     std::erase_if(shard.pages, [&](const PageEntry& p) {
       return p.seq == shard.first_seq;
     });
-    read_cache_.erase({node, shard.first_seq});
     ++shard.first_seq;
-    ++stats_.segments_evicted;
+    ++shard.stats.segments_evicted;
   }
 }
 
@@ -442,8 +441,6 @@ void TimeSeriesStore::flush() {
     seal_page(n);
     if (shards_[n].out) shards_[n].out->flush();
   }
-  // The cache may hold mappings taken before this flush grew the files.
-  read_cache_.clear();
   // Index last: segment bytes are on disk before the commit point moves.
   write_framed_file(index_path(dir_), serialize_index(meta_, config_));
 }
@@ -452,13 +449,7 @@ void TimeSeriesStore::flush() {
 
 std::shared_ptr<const TimeSeriesStore::SegmentData>
 TimeSeriesStore::load_segment(std::size_t node, std::size_t seq) const {
-  const auto key = std::make_pair(node, seq);
-  auto it = read_cache_.find(key);
-  if (it != read_cache_.end()) return it->second;
-  std::shared_ptr<const SegmentData> seg =
-      SegmentData::load(segment_path(node, seq));
-  read_cache_.emplace(key, seg);
-  return seg;
+  return SegmentData::load(segment_path(node, seq));
 }
 
 TimeSeriesStore::Cursor TimeSeriesStore::range(std::size_t node,
@@ -489,27 +480,28 @@ bool TimeSeriesStore::Cursor::next(StoreSample& out) {
       while (reader_->next(sample)) {
         if (sample.t < begin_t_) continue;
         if (sample.t >= end_t_) {
-          reader_.reset();
-          segment_.reset();
-          store_ = nullptr;
+          finish();
           return false;
         }
         out = std::move(sample);
         return true;
       }
       reader_.reset();
-      segment_.reset();
     }
     if (page_index_ >= pages.size()) {
-      store_ = nullptr;
+      finish();
       return false;
     }
     const PageEntry& page = pages[page_index_++];
     if (page.first_t >= end_t_) {
-      store_ = nullptr;
+      finish();
       return false;
     }
-    segment_ = store_->load_segment(node_, page.seq);
+    // Consecutive pages mostly share a segment file: map it once.
+    if (!segment_ || segment_seq_ != page.seq) {
+      segment_ = store_->load_segment(node_, page.seq);
+      segment_seq_ = page.seq;
+    }
     NS_REQUIRE(page.offset + kPageFrameHeaderSize + page.payload_bytes <=
                    segment_->size,
                "store: cataloged page beyond segment size (node "
@@ -520,6 +512,24 @@ bool TimeSeriesStore::Cursor::next(StoreSample& out) {
             page.payload_bytes),
         store_->num_metrics(), page.samples);
   }
+}
+
+void TimeSeriesStore::Cursor::finish() {
+  reader_.reset();
+  segment_.reset();
+  store_ = nullptr;
+}
+
+TimeSeriesStore::Stats TimeSeriesStore::stats() const {
+  Stats total;
+  for (const Shard& shard : shards_) {
+    total.samples_appended += shard.stats.samples_appended;
+    total.pages_sealed += shard.stats.pages_sealed;
+    total.segments_started += shard.stats.segments_started;
+    total.segments_evicted += shard.stats.segments_evicted;
+    total.bytes_written += shard.stats.bytes_written;
+  }
+  return total;
 }
 
 std::size_t TimeSeriesStore::node_samples(std::size_t node) const {

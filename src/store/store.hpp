@@ -17,15 +17,16 @@
 // order per node and never rewritten; after a recovery, appends resume in
 // a fresh segment file so repaired history is never overwritten.
 //
-// Threading: the store itself is single-writer, and queries must not run
-// concurrently with appends (the async front that enforces this lives in
+// Threading: appends to *different* nodes may run concurrently — each
+// node's shard (page builder, catalog, segment file, counters) is touched
+// only by appends to that node. Appends to one node, flush(), and queries
+// must not overlap (the async front that enforces this lives in
 // store/writer.hpp). flush() publishes appended samples for querying.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,7 +91,8 @@ class TimeSeriesStore {
   TimeSeriesStore& operator=(TimeSeriesStore&&) = default;
 
   /// Appends one sample of `node`; ticks must be strictly increasing per
-  /// node. sample.values.size() must equal num_metrics().
+  /// node. sample.values.size() must equal num_metrics(). Safe to call
+  /// concurrently for distinct nodes.
   void append(std::size_t node, const StoreSample& sample);
 
   /// Seals open pages, flushes segment bytes, then writes the index —
@@ -104,19 +106,27 @@ class TimeSeriesStore {
 
   /// Streams the sealed samples of `node` with first_t <= t < end_t in
   /// tick order. Requires flush() for samples still in open pages. The
-  /// cursor pins the mmap'd segments it reads; it must not outlive the
-  /// store.
+  /// cursor maps one segment file at a time and holds it while it decodes
+  /// pages out of it; the mapping is released when the cursor moves to
+  /// another segment or finishes. The store keeps no mappings of its own,
+  /// so reads never pin more than the cursors alive. A live cursor still
+  /// pins its segment if ring retention deletes the file. The cursor must
+  /// not outlive the store.
   class Cursor {
    public:
     bool next(StoreSample& out);
 
    private:
     friend class TimeSeriesStore;
+    /// Ends the stream and releases the mapping.
+    void finish();
+
     const TimeSeriesStore* store_ = nullptr;
     std::size_t node_ = 0;
     std::uint64_t begin_t_ = 0;
     std::uint64_t end_t_ = 0;
     std::size_t page_index_ = 0;
+    std::size_t segment_seq_ = 0;  ///< seq of segment_, when set
     std::shared_ptr<const SegmentData> segment_;
     std::unique_ptr<PageReader> reader_;
   };
@@ -148,10 +158,15 @@ class TimeSeriesStore {
     std::uint64_t segments_evicted = 0;
     std::uint64_t bytes_written = 0;
   };
-  const Stats& stats() const { return stats_; }
+  /// Write counters, summed over the per-node shards that keep them (so
+  /// concurrent appends to distinct nodes share no counter). Not safe to
+  /// call while appends are running.
+  Stats stats() const;
 
  private:
-  struct Shard {
+  /// Cache-line aligned: appends to neighbouring nodes run on different
+  /// threads and would otherwise false-share the per-row fields.
+  struct alignas(64) Shard {
     std::unique_ptr<PageBuilder> builder;
     std::vector<PageEntry> pages;        ///< sealed, (seq, offset) order
     std::size_t first_seq = 0;
@@ -162,6 +177,7 @@ class TimeSeriesStore {
     bool any_sealed = false;
     std::uint64_t last_t = 0;            ///< newest tick (sealed or open)
     bool any_t = false;
+    Stats stats;                         ///< this node's share of stats()
   };
 
   TimeSeriesStore() = default;
@@ -178,13 +194,6 @@ class TimeSeriesStore {
   StoreMeta meta_;
   StoreConfig config_;
   std::vector<Shard> shards_;
-  Stats stats_;
-  /// Read cache: mapped segment files keyed by (node, seq). Mutable so
-  /// const queries can fill it; invalidated on flush() (a later flush may
-  /// have grown the file past the cached mapping).
-  mutable std::map<std::pair<std::size_t, std::size_t>,
-                   std::shared_ptr<const SegmentData>>
-      read_cache_;
 };
 
 }  // namespace ns

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fileio.hpp"
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -30,6 +31,35 @@ TEST(Error, RequireThrowsWithMessage) {
 
 TEST(Error, CheckPassesSilently) {
   EXPECT_NO_THROW(NS_CHECK(true, "never"));
+}
+
+// The table-sliced CRC32 must match the byte-at-a-time definition at every
+// length, alignment and seed: checkpoint and store frames on disk carry it.
+TEST(Crc32, MatchesByteAtATimeDefinition) {
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  auto reference = [](const std::uint8_t* p, std::size_t n,
+                      std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(31);
+  std::vector<std::uint8_t> bytes(300);
+  for (std::uint8_t& b : bytes)
+    b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
+      const std::uint32_t seed =
+          n % 3 == 0 ? 0u : 0x12345678u * static_cast<std::uint32_t>(n);
+      ASSERT_EQ(crc32(bytes.data() + offset, n, seed),
+                reference(bytes.data() + offset, n, seed))
+          << "offset " << offset << " length " << n;
+    }
 }
 
 TEST(Rng, Deterministic) {

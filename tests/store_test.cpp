@@ -1,22 +1,30 @@
 // Embedded time-series store tests (DESIGN.md §13): codec round-trip
-// property (bitwise, NaN payloads and in-band bits included), page
-// capacity, segment/ring retention, index-written-last commit discipline,
-// torn-write fuzz recovery at every frame boundary, writer backpressure,
-// and serve-path equivalence (replay == detect == store, plus warm restart
-// from segments reproducing the CSV-restored detections bitwise).
+// property (bitwise, NaN payloads and in-band bits included), the
+// word-level bit streams against a bit-at-a-time reference, pinned golden
+// payload bytes, page capacity, segment/ring retention, index-written-last
+// commit discipline, torn-write fuzz recovery at every frame boundary,
+// writer backpressure, parallel sealing byte-identical to serial appends,
+// append errors surfacing from drain(), and serve-path equivalence
+// (replay == detect == store, plus warm restart from segments reproducing
+// the CSV-restored detections bitwise).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fileio.hpp"
 #include "core/nodesentry.hpp"
 #include "io/dataset_io.hpp"
 #include "serve/engine.hpp"
@@ -126,6 +134,129 @@ TEST(StoreCodec, TruncateRollsBackCleanly) {
   EXPECT_EQ(r.read_bits(2), 0b01u);
 }
 
+/// The LSB-first bit stream spelled out one bit per step: the layout the
+/// word-level BitWriter/BitReader must reproduce exactly.
+struct ReferenceBitStream {
+  std::vector<std::uint8_t> bytes;
+  std::size_t bits = 0;
+
+  void write_bits(std::uint64_t value, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if ((bits >> 3) >= bytes.size()) bytes.push_back(0);
+      if ((value >> i) & 1u)
+        bytes[bits >> 3] |= static_cast<std::uint8_t>(1u << (bits & 7));
+      ++bits;
+    }
+  }
+  void write_varint(std::uint64_t value) {
+    while (value >= 0x80u) {
+      write_bits((value & 0x7Fu) | 0x80u, 8);
+      value >>= 7;
+    }
+    write_bits(value, 8);
+  }
+  void truncate(std::size_t position) {
+    bits = position;
+    bytes.resize((bits + 7) / 8);
+    if (bits & 7)
+      bytes.back() &= static_cast<std::uint8_t>((1u << (bits & 7)) - 1u);
+  }
+  std::uint64_t read_bits(std::size_t position, std::size_t count) const {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < count; ++i, ++position)
+      value |= static_cast<std::uint64_t>(
+                   (bytes[position >> 3] >> (position & 7)) & 1u)
+               << i;
+    return value;
+  }
+};
+
+std::uint64_t low_bits(std::uint64_t value, std::size_t count) {
+  return count < 64 ? value & ((std::uint64_t{1} << count) - 1) : value;
+}
+
+TEST(StoreCodec, WordBitStreamMatchesBitAtATimeReference) {
+  std::mt19937_64 rng(20251019);
+  // Every start offset within a byte x every width, with a write after it
+  // to catch bits that spill past the field.
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t count = 0; count <= 64; ++count) {
+      const std::string where =
+          "start " + std::to_string(start) + " count " + std::to_string(count);
+      const std::uint64_t head = rng(), value = rng(), tail = rng();
+      BitWriter w;
+      ReferenceBitStream ref;
+      w.write_bits(head, start);
+      ref.write_bits(head, start);
+      w.write_bits(value, count);
+      ref.write_bits(value, count);
+      w.write_bits(tail, 13);
+      ref.write_bits(tail, 13);
+      ASSERT_EQ(w.bit_count(), ref.bits) << where;
+      ASSERT_EQ(w.byte_count(), ref.bytes.size()) << where;
+      const std::vector<std::uint8_t> bytes = w.take();
+      ASSERT_EQ(bytes, ref.bytes) << where;
+      EXPECT_EQ(w.bit_count(), 0u) << where;
+
+      BitReader r(bytes);
+      EXPECT_EQ(r.read_bits(start), low_bits(head, start)) << where;
+      EXPECT_EQ(r.read_bits(count), low_bits(value, count)) << where;
+      EXPECT_EQ(r.read_bits(13), low_bits(tail, 13)) << where;
+      // The byte padding reads as zeros; one bit more runs past the end.
+      const std::size_t left = bytes.size() * 8 - r.bits_consumed();
+      EXPECT_EQ(r.read_bits(left), 0u) << where;
+      EXPECT_THROW(r.read_bits(1), ParseError) << where;
+      EXPECT_THROW(r.read_bit(), ParseError) << where;
+      EXPECT_EQ(r.read_bits(0), 0u) << where;
+    }
+  }
+
+  // Random write / varint / truncate sequences, read back in random widths
+  // from every kind of position, including reads that overrun the end.
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    BitWriter w;
+    ReferenceBitStream ref;
+    const std::size_t ops = 1 + rng() % 40;
+    for (std::size_t op = 0; op < ops; ++op) {
+      const std::size_t roll = rng() % 10;
+      if (roll < 6) {
+        const std::uint64_t value = rng();
+        const std::size_t count = rng() % 65;
+        w.write_bits(value, count);
+        ref.write_bits(value, count);
+      } else if (roll < 7) {
+        const std::uint32_t bit = static_cast<std::uint32_t>(rng());
+        w.write_bit(bit);
+        ref.write_bits(bit & 1u, 1);
+      } else if (roll < 8) {
+        const std::uint64_t value = rng() >> (rng() % 64);
+        w.write_varint(value);
+        ref.write_varint(value);
+      } else {
+        const std::size_t position = ref.bits == 0 ? 0 : rng() % (ref.bits + 1);
+        w.truncate(position);
+        ref.truncate(position);
+      }
+      ASSERT_EQ(w.bit_count(), ref.bits) << "trial " << trial << " op " << op;
+    }
+    const std::vector<std::uint8_t> bytes = w.take();
+    ASSERT_EQ(bytes, ref.bytes) << "trial " << trial;
+
+    const std::size_t end = bytes.size() * 8;
+    BitReader r(bytes);
+    while (r.bits_consumed() < end) {
+      const std::size_t pos = r.bits_consumed();
+      const std::size_t count = rng() % 65;
+      if (count > end - pos) {
+        EXPECT_THROW(r.read_bits(count), ParseError) << "trial " << trial;
+        break;
+      }
+      ASSERT_EQ(r.read_bits(count), ref.read_bits(pos, count))
+          << "trial " << trial << " pos " << pos << " count " << count;
+    }
+  }
+}
+
 TEST(StoreCodec, RoundTripPropertyBitwise) {
   std::mt19937_64 rng(20250809);
   for (std::size_t trial = 0; trial < 30; ++trial) {
@@ -196,6 +327,106 @@ TEST(StoreCodec, CapacityRejectsWithoutSideEffects) {
     ASSERT_TRUE(reader.next(out));
     expect_samples_equal(out, accepted[r], "row " + std::to_string(r));
   }
+}
+
+// A rejected row must not leak into the rows appended after it on the same
+// page: the page comes out byte-identical to one that never saw it.
+TEST(StoreCodec, RejectedRowLeavesNoTraceInLaterRows) {
+  const std::size_t M = 4;
+  StoreSample first, small, big;
+  first.t = 100;
+  first.job_id = 3;
+  first.values = {1.5f, -2.25f, 1e6f, 0.125f};
+  small = first;
+  small.t = 101;
+  small.values[1] = -2.5f;
+  big.t = 100 + (std::size_t{1} << 40);  // raw 64-bit tick bucket
+  big.job_id = -77;
+  big.values = {std::bit_cast<float>(0x7FC01234u), 3e-7f, -9e9f, 42.0f};
+
+  PageBuilder reference(M, 1 << 20);
+  ASSERT_TRUE(reference.append(first));
+  ASSERT_TRUE(reference.append(small));
+  const std::vector<std::uint8_t> want = reference.finish();
+
+  PageBuilder page(M, want.size());
+  ASSERT_TRUE(page.append(first));
+  ASSERT_FALSE(page.append(big));
+  ASSERT_TRUE(page.append(small));
+  EXPECT_EQ(page.finish(), want);
+}
+
+/// Fixed trace that reaches every branch of the row encoder: all five
+/// delta-of-delta buckets in both signs, job changes up and down, NaN
+/// cells with varying payloads, and XOR rows that are zero, reuse the
+/// previous window, or open a new one.
+std::vector<StoreSample> golden_trace() {
+  constexpr std::size_t kMetrics = 6;
+  std::mt19937_64 rng(20251018);
+  // Tick gaps: steady runs between jumps into each dod bucket and back.
+  const std::size_t kGaps[] = {1,  1,    1, 50,     1, 1, 1500, 1,
+                               15, 15,   15, 400000, 1, 2, 3000000,
+                               1,  1,    4, 2,      1, 1, 70,   1};
+  std::vector<StoreSample> trace;
+  std::size_t t = 1000;
+  std::int64_t job = 7;
+  float drift = 12.5f;
+  for (std::size_t r = 0; r < 300; ++r) {
+    StoreSample sample;
+    sample.t = t;
+    t += r < std::size(kGaps) ? kGaps[r] : 1 + rng() % 3;
+    if (r % 23 == 22) job = (r % 2 == 0) ? job + 1 : job - 5000;
+    sample.job_id = job;
+    sample.anomaly = rng() % 11 == 0;
+    sample.valid = rng() % 13 != 0;
+    sample.values.resize(kMetrics);
+    drift += 1.0f / 1024.0f;
+    sample.values[0] = 3.0f;                               // constant
+    sample.values[1] = drift;                              // window reuse
+    sample.values[2] = std::bit_cast<float>(               // new windows
+        static_cast<std::uint32_t>(rng()));
+    sample.values[3] =                                     // NaN payloads
+        r % 5 == 0 ? std::bit_cast<float>(0x7FC00000u |
+                                          static_cast<std::uint32_t>(r))
+                   : static_cast<float>(r);
+    sample.values[4] = (r / 3) % 2 == 0 ? -1.5f : 1.5f;    // sign flips
+    sample.values[5] = static_cast<float>(r * r);          // counter
+    trace.push_back(std::move(sample));
+  }
+  return trace;
+}
+
+// Pins the payload bytes the codec produced when the store format was
+// fixed: a faster encoder must reproduce them exactly, or existing
+// segment files stop decoding the same.
+TEST(StoreCodec, GoldenPayloadBytesArePinned) {
+  const std::vector<StoreSample> trace = golden_trace();
+  // One page holding the whole trace.
+  PageBuilder whole(trace.front().values.size(), 1 << 20);
+  for (const StoreSample& sample : trace) ASSERT_TRUE(whole.append(sample));
+  const std::vector<std::uint8_t> payload = whole.finish();
+  EXPECT_EQ(payload.size(), 3966u);
+  EXPECT_EQ(crc32(payload.data(), payload.size()), 3905184077u);
+
+  // Small pages: every page ends in a rejected, rolled-back row.
+  PageBuilder small(trace.front().values.size(), 96);
+  std::uint32_t crc = 0;
+  std::size_t pages = 0, bytes = 0;
+  auto seal = [&] {
+    const std::vector<std::uint8_t> page = small.finish();
+    crc = crc32(page.data(), page.size(), crc);
+    bytes += page.size();
+    ++pages;
+  };
+  for (const StoreSample& sample : trace) {
+    if (small.append(sample)) continue;
+    seal();
+    ASSERT_TRUE(small.append(sample));
+  }
+  seal();
+  EXPECT_EQ(pages, 60u);
+  EXPECT_EQ(bytes, 5313u);
+  EXPECT_EQ(crc, 556144878u);
 }
 
 // ------------------------------------------------------------------ store
@@ -338,6 +569,44 @@ TEST(StoreFiles, RingRetentionEvictsOldestSegments) {
     ++count;
   }
   EXPECT_EQ(count, reopened.node_samples(0));
+  fs::remove_all(dir);
+}
+
+// The store keeps no mappings of its own, but a live cursor holds the one
+// it decodes from: deleting the file under it (what ring retention does)
+// must not cut the read short.
+TEST(StoreFiles, LiveCursorPinsItsSegmentAcrossDeletion) {
+  const std::string dir = temp_dir("pin");
+  TimeSeriesStore store = TimeSeriesStore::create(
+      dir, small_meta(1, 2), StoreConfig{64, 4, 0});
+  StoreSample sample;
+  sample.values.resize(2);
+  for (std::size_t t = 0; t < 400; ++t) {
+    sample.t = t;
+    sample.values = {static_cast<float>(t), static_cast<float>(t * 7 % 13)};
+    store.append(0, sample);
+  }
+  store.flush();
+  const auto& catalog = store.node_catalog(0);
+  ASSERT_GT(store.node_segments(0), 1u);
+  std::size_t first_segment_samples = 0;
+  std::size_t end_t = 0;
+  for (const auto& page : catalog)
+    if (page.seq == catalog.front().seq) {
+      first_segment_samples += page.samples;
+      end_t = static_cast<std::size_t>(page.last_t) + 1;
+    }
+
+  TimeSeriesStore::Cursor cursor = store.range(0, 0, end_t);
+  StoreSample out;
+  ASSERT_TRUE(cursor.next(out));
+  fs::remove(fs::path(dir) / "node_0" / "seg_000000.nss");
+  std::size_t count = 1;
+  while (cursor.next(out)) {
+    EXPECT_EQ(out.t, count);
+    ++count;
+  }
+  EXPECT_EQ(count, first_segment_samples);
   fs::remove_all(dir);
 }
 
@@ -560,6 +829,132 @@ TEST(StoreWriterTest, ConcurrentProducersOnDistinctNodes) {
     for (std::size_t n = 0; n < 4; ++n)
       EXPECT_EQ(writer.store().node_samples(n), 500u);
   }
+  fs::remove_all(dir);
+}
+
+/// Every file under `dir` (relative path -> bytes).
+std::map<std::string, std::string> read_tree(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[fs::relative(entry.path(), dir).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST(StoreWriterTest, ParallelSealingIsByteIdenticalToSerialAppends) {
+  constexpr std::size_t kNodes = 72, kMetrics = 5, kChunks = 3;
+  StoreConfig config;
+  config.page_bytes = 256;      // many pages per node
+  config.segment_pages = 3;     // several segment files per node
+  config.retain_segments = 4;   // and ring eviction while sealing
+  std::mt19937_64 rng(20251020);
+  std::vector<std::vector<StoreSample>> traces;
+  for (std::size_t n = 0; n < kNodes; ++n)
+    traces.push_back(random_trace(rng, 90 + 7 * (n % 11), kMetrics));
+  auto chunk = [&](std::size_t n, std::size_t c) {
+    const std::size_t rows = traces[n].size();
+    return std::vector<StoreSample>(
+        traces[n].begin() + static_cast<std::ptrdiff_t>(rows * c / kChunks),
+        traces[n].begin() +
+            static_cast<std::ptrdiff_t>(rows * (c + 1) / kChunks));
+  };
+
+  const std::string serial_dir = temp_dir("serial");
+  {
+    TimeSeriesStore store =
+        TimeSeriesStore::create(serial_dir, small_meta(kNodes, kMetrics),
+                                config);
+    for (std::size_t c = 0; c < kChunks; ++c)
+      for (std::size_t n = 0; n < kNodes; ++n)
+        for (const StoreSample& sample : chunk(n, c)) store.append(n, sample);
+    store.flush();
+  }
+
+  const std::string parallel_dir = temp_dir("parallel");
+  obs::Registry registry;
+  {
+    StoreWriter writer(
+        TimeSeriesStore::create(parallel_dir, small_meta(kNodes, kMetrics),
+                                config),
+        StoreWriterConfig{0}, &registry);
+    // Hand-off 0 carries chunk 0 of every node in shuffled node order;
+    // hand-off 1 carries chunks 1 *and* 2, so a node's two batches ride
+    // one hand-off and must land in order.
+    std::vector<std::size_t> nodes(kNodes);
+    std::iota(nodes.begin(), nodes.end(), std::size_t{0});
+    std::shuffle(nodes.begin(), nodes.end(), rng);
+    std::vector<StoreWriter::Batch> first, second;
+    for (const std::size_t n : nodes) first.push_back({n, chunk(n, 0)});
+    std::shuffle(nodes.begin(), nodes.end(), rng);
+    for (const std::size_t n : nodes) second.push_back({n, chunk(n, 1)});
+    for (const std::size_t n : nodes) second.push_back({n, chunk(n, 2)});
+    writer.enqueue(std::move(first));
+    writer.enqueue(std::move(second));
+    writer.drain();
+    EXPECT_EQ(writer.batches_enqueued(), kNodes * kChunks);
+    EXPECT_EQ(writer.batches_dropped(), 0u);
+  }
+
+  const auto serial = read_tree(serial_dir);
+  const auto parallel = read_tree(parallel_dir);
+  ASSERT_GT(serial.size(), kNodes);  // index + several segments per node
+  ASSERT_TRUE(serial.count("index.bin"));
+  EXPECT_EQ(parallel.size(), serial.size());
+  for (const auto& [path, bytes] : serial) {
+    const auto it = parallel.find(path);
+    ASSERT_NE(it, parallel.end()) << path;
+    EXPECT_TRUE(it->second == bytes) << path << " differs";
+  }
+  fs::remove_all(serial_dir);
+  fs::remove_all(parallel_dir);
+}
+
+TEST(StoreWriterTest, FailedAppendSurfacesFromDrainAndSparesOtherBatches) {
+  const std::string dir = temp_dir("writer_error");
+  obs::Registry registry;
+  {
+    StoreWriter writer(TimeSeriesStore::create(dir, small_meta(2, 2)),
+                       StoreWriterConfig{0}, &registry);
+    auto batch = [](std::size_t node, std::size_t t0, std::size_t rows) {
+      StoreWriter::Batch b;
+      b.node = node;
+      StoreSample sample;
+      sample.values.assign(2, 0.5f);
+      for (std::size_t i = 0; i < rows; ++i) {
+        sample.t = t0 + i;
+        b.samples.push_back(sample);
+      }
+      return b;
+    };
+    writer.enqueue(batch(0, 0, 50));
+    // The bad batch rewinds node 0's ticks; node 1 rides the same hand-off.
+    std::vector<StoreWriter::Batch> middle;
+    middle.push_back(batch(0, 10, 5));
+    middle.push_back(batch(1, 0, 30));
+    writer.enqueue(std::move(middle));
+    writer.enqueue(batch(0, 50, 50));
+    EXPECT_THROW(writer.drain(), Error);
+    EXPECT_EQ(writer.batches_enqueued(), 4u);
+    EXPECT_EQ(writer.batches_dropped(), 1u);
+    EXPECT_EQ(writer.samples_written(), 130u);
+    EXPECT_EQ(writer.store().node_samples(0), 100u);
+    EXPECT_EQ(writer.store().node_samples(1), 30u);
+    // The error was reported once; the writer keeps working.
+    writer.enqueue(batch(1, 30, 10));
+    EXPECT_NO_THROW(writer.drain());
+    EXPECT_EQ(writer.store().node_samples(1), 40u);
+    for (const auto& entry : registry.entries()) {
+      if (entry.name == "ns_store_batches_dropped_total") {
+        EXPECT_EQ(entry.counter->value(), 1u);
+      }
+    }
+  }
+  TimeSeriesStore reopened = TimeSeriesStore::open(dir);
+  EXPECT_EQ(reopened.node_samples(0), 100u);
+  EXPECT_EQ(reopened.node_samples(1), 40u);
   fs::remove_all(dir);
 }
 
@@ -816,6 +1211,39 @@ TEST_F(ServeStoreFixture, ServeSealsBitsMatchingDetectionsAndWarmRestarts) {
     for (std::size_t t = sim_->train_end; t < det.predictions.size(); ++t)
       flagged += det.predictions[t];
   EXPECT_EQ(rate.anomalous, flagged);
+}
+
+// finalize() hands every node over at once, so a population larger than
+// the writer's queue bound still seals every node.
+TEST_F(ServeStoreFixture, FinalizeSealsEveryNodePastTheQueueBound) {
+  const std::size_t N = sim_->data.num_nodes();
+  ASSERT_GT(N, 1u);
+  const std::string dir = temp_dir("serve_bound");
+  obs::Registry registry;
+  {
+    StoreWriter writer(
+        TimeSeriesStore::create(dir, store_meta_from_dataset(sim_->data)),
+        StoreWriterConfig{/*queue_capacity=*/1}, &registry);
+    ServeConfig serve_config;
+    serve_config.store_writer = &writer;
+    ServeEngine engine(*sentry_, serve_config);
+    const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+    writer.drain();
+    EXPECT_EQ(writer.batches_enqueued(), N);
+    EXPECT_EQ(writer.batches_dropped(), 0u);
+    EXPECT_EQ(writer.samples_written(), rep.samples_streamed);
+    std::size_t sealed = 0;
+    for (std::size_t n = 0; n < N; ++n) {
+      EXPECT_GT(writer.store().node_samples(n), 0u) << "node " << n;
+      sealed += writer.store().node_samples(n);
+    }
+    EXPECT_EQ(sealed, rep.samples_streamed);
+    EXPECT_EQ(compare_detections_with_store(rep.result.detections,
+                                            writer.store(), sim_->train_end)
+                  .flag_mismatches,
+              0u);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
