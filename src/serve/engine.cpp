@@ -26,20 +26,18 @@ Workspace& scoring_workspace() {
   return ws;
 }
 
-/// Grows a score/lane timeline to `need` entries, reserving at least `hint`
-/// capacity when storage must move so one reservation covers a whole stash
-/// flush (or scored batch) instead of reallocating per committed row.
+/// Grows a lane/attribution timeline to `need` zero-filled entries,
+/// reserving at least `hint` capacity when storage must move so one
+/// reservation covers many scored units instead of reallocating per unit.
 /// Returns whether storage actually moved — the score_reallocs stat.
-template <typename T>
-bool grow_timeline(std::vector<T>& v, std::size_t need, std::size_t hint,
-                   T fill) {
+bool grow_timeline(std::vector<float>& v, std::size_t need, std::size_t hint) {
   if (v.size() >= need) return false;
   bool realloced = false;
   if (need > v.capacity()) {
     v.reserve(std::max(std::max(need, hint), v.capacity() * 2));
     realloced = true;
   }
-  v.resize(need, fill);
+  v.resize(need, 0.0f);
   return realloced;
 }
 
@@ -89,7 +87,6 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
     st.next_t = start_t_;
     st.last_good.assign(num_metrics_, 0.0f);
   }
-  scores_.assign(N, {});
   if (config_.attribution) contrib_.assign(N, {});
   ranges_.assign(N, {});
   // The engine only ever reads the models; eval mode makes every forward
@@ -149,41 +146,38 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
       ->gauge("ns_serve_kernel_tier",
               "Runtime kernel dispatch tier: 0=scalar 1=neon 2=avx2_fma")
       .set(static_cast<double>(static_cast<int>(kernel_dispatch_tier())));
-  if (config_.consensus_scoring) {
-    const std::size_t G = config_.generations;
-    NS_REQUIRE(G >= 1 && G <= 8,
-               "serve: generations " << G << " out of [1,8]");
-    NS_REQUIRE(config_.consensus_quorum >= 1 && config_.consensus_quorum <= G,
-               "serve: consensus_quorum " << config_.consensus_quorum
-                                          << " out of [1," << G << "]");
-    if (config_.generation_registry != nullptr) {
-      gen_registry_ = config_.generation_registry;
-      NS_REQUIRE(gen_registry_->num_clusters() == sentry.library().size(),
-                 "serve: registry has " << gen_registry_->num_clusters()
-                                        << " clusters, library has "
-                                        << sentry.library().size());
-      NS_REQUIRE(gen_registry_->max_generations() == G,
-                 "serve: registry cap " << gen_registry_->max_generations()
-                                        << " != generations " << G);
-      // Convenience: an external registry handed over empty gets the seed
-      // generation, same as the engine-owned path.
-      if (gen_registry_->snapshot(0)->generations.empty())
-        gen_registry_->seed_from_library(sentry.library());
-    } else {
-      owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-          sentry.library().size(), G, registry_);
-      owned_gen_registry_->seed_from_library(sentry.library());
-      gen_registry_ = owned_gen_registry_.get();
-    }
-    lane_scores_.assign(G, std::vector<std::vector<float>>(N));
-    lane_active_.assign(N, {});
-    consensus_points_counter_ =
-        &registry_->counter("ns_serve_consensus_points_total",
-                            "Points decided by the consensus vote");
-    consensus_disagreements_counter_ = &registry_->counter(
-        "ns_serve_consensus_disagreements_total",
-        "Voted points where the active generations disagreed");
+  const std::size_t G = config_.generations;
+  NS_REQUIRE(G >= 1 && G <= 8, "serve: generations " << G << " out of [1,8]");
+  NS_REQUIRE(config_.consensus_quorum >= 1 && config_.consensus_quorum <= G,
+             "serve: consensus_quorum " << config_.consensus_quorum
+                                        << " out of [1," << G << "]");
+  if (config_.generation_registry != nullptr) {
+    gen_registry_ = config_.generation_registry;
+    NS_REQUIRE(gen_registry_->num_clusters() == sentry.library().size(),
+               "serve: registry has " << gen_registry_->num_clusters()
+                                      << " clusters, library has "
+                                      << sentry.library().size());
+    NS_REQUIRE(gen_registry_->max_generations() == G,
+               "serve: registry cap " << gen_registry_->max_generations()
+                                      << " != generations " << G);
+    // Convenience: an external registry handed over empty gets the seed
+    // generation, same as the engine-owned path.
+    if (gen_registry_->snapshot(0)->generations.empty())
+      gen_registry_->seed_from_library(sentry.library());
+  } else {
+    owned_gen_registry_ = std::make_unique<GenerationRegistry>(
+        sentry.library().size(), G, registry_);
+    owned_gen_registry_->seed_from_library(sentry.library());
+    gen_registry_ = owned_gen_registry_.get();
   }
+  lane_scores_.assign(G, std::vector<std::vector<float>>(N));
+  scored_spans_.assign(N, {});
+  consensus_points_counter_ =
+      &registry_->counter("ns_serve_consensus_points_total",
+                          "Points decided by the consensus vote");
+  consensus_disagreements_counter_ = &registry_->counter(
+      "ns_serve_consensus_disagreements_total",
+      "Voted points where the active generations disagreed");
 }
 
 ServeEngine::~ServeEngine() {
@@ -338,15 +332,6 @@ void ServeEngine::commit_row(std::size_t node, std::size_t t,
   }
   st.open->rows.push_back(std::move(row.values));
   st.open->valid.push_back(std::move(row.valid));
-  // Hint the reservation out to the newest tick seen for this node: one
-  // allocation then covers the whole stash flush / gap-fill run that
-  // advance_node is in the middle of, instead of growing per row.
-  if (grow_timeline(scores_[node], t + 1, std::max(st.max_seen, t) + 1,
-                    0.0f)) {
-    score_reallocs_counter_->inc();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.score_reallocs;
-  }
   maybe_match(node);
 }
 
@@ -514,10 +499,7 @@ std::size_t ServeEngine::pump() {
     dispatched += units.size();
     inflight_.push_back(pool_->submit(
         [this, cluster, batch = std::move(units)]() mutable {
-          if (config_.consensus_scoring)
-            score_cluster_units_consensus(cluster, std::move(batch));
-          else
-            score_cluster_units(cluster, std::move(batch));
+          score_cluster_units(cluster, std::move(batch));
         }));
   }
   // Reap finished futures so inflight_ stays bounded on long streams; a
@@ -570,114 +552,6 @@ std::shared_ptr<const ScoringPlan> ServeEngine::plan_for(
 void ServeEngine::score_cluster_units(std::size_t cluster,
                                       std::vector<PendingUnit> units) {
   const ClusterEntry& entry = sentry_->library().clusters()[cluster];
-  std::shared_ptr<const ScoringPlan> plan;
-  if (config_.scoring_path != ScoringPath::kStrict)
-    plan = plan_for(entry.model, nullptr);
-  std::lock_guard<std::mutex> cluster_lock(cluster_locks_->lock(cluster));
-  Rng rng(0);  // eval-mode forwards are deterministic and never draw
-  const std::size_t M = num_metrics_;
-  std::size_t i = 0;
-  while (i < units.size()) {
-    // Pack units into one batched forward up to max_batch_tokens rows. A
-    // single oversized unit still goes alone (it cannot be split: its
-    // attention window is the chunk).
-    std::size_t j = i + 1;
-    std::size_t rows = units[i].tokens.size(0);
-    if (config_.max_batch_tokens > 0) {
-      while (j < units.size() &&
-             rows + units[j].tokens.size(0) <= config_.max_batch_tokens) {
-        rows += units[j].tokens.size(0);
-        ++j;
-      }
-    }
-    obs::ScopedTimer batch_timer(score_hist_, "serve.score");
-    Tensor x(Shape{rows, M});
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> seg_ids;
-    std::vector<std::size_t> block_lens;
-    offsets.reserve(rows);
-    seg_ids.reserve(rows);
-    block_lens.reserve(j - i);
-    std::size_t base = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      const PendingUnit& unit = units[k];
-      const std::size_t len = unit.tokens.size(0);
-      for (std::size_t r = 0; r < len; ++r) {
-        for (std::size_t m = 0; m < M; ++m)
-          x.at(base + r, m) = unit.tokens.at(r, m);
-        offsets.push_back(unit.offset + r);
-        seg_ids.push_back(unit.segment_id);
-      }
-      block_lens.push_back(len);
-      base += len;
-    }
-    // Strict: the canonical autograd forward, bitwise-stable for replay.
-    // Relaxed/quantized: the compiled plan — same math, vector rounding.
-    Tensor rec_all;
-    if (plan) {
-      rec_all = plan->forward(x, offsets, seg_ids, block_lens,
-                              scoring_workspace(), pool_);
-    } else {
-      rec_all = entry.model
-                    ->forward_blocked(Var::constant(std::move(x)), offsets,
-                                      seg_ids, rng, block_lens)
-                    .value();
-    }
-    std::vector<ScoredUnit> results;
-    results.reserve(j - i);
-    std::size_t points = 0;
-    base = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      const PendingUnit& unit = units[k];
-      const std::size_t len = unit.tokens.size(0);
-      const Tensor rec = slice_rows(rec_all, base, base + len);
-      base += len;
-      ScoredUnit scored;
-      scored.node = unit.node;
-      scored.abs_begin = unit.abs_begin;
-      scored.scores.assign(len, 0.0f);
-      ValidityMask unit_mask;
-      if (masked_mode_) {
-        unit_mask = ValidityMask(1, M, len, 1);
-        for (std::size_t r = 0; r < len; ++r)
-          for (std::size_t m = 0; m < M; ++m)
-            unit_mask.at(0, m, r) = unit.valid[r * M + m];
-      }
-      scored.scored_points = chunk_point_scores(
-          entry, rec, unit.tokens, masked_mode_ ? &unit_mask : nullptr, 0, 0,
-          scored.scores.data());
-      if (config_.attribution) {
-        // Separate pass, identical arithmetic: the score bits above are
-        // already written and never revisited.
-        scored.contrib.assign(len * M, 0.0f);
-        chunk_point_metric_contributions(
-            entry.metric_weights, entry.residual_scale, entry.baseline_error,
-            rec, unit.tokens, masked_mode_ ? &unit_mask : nullptr, 0, 0,
-            scored.contrib.data());
-      }
-      points += scored.scored_points;
-      results.push_back(std::move(scored));
-    }
-    batch_timer.stop();  // the batched forward + scoring, not the fold-in
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      for (ScoredUnit& scored : results)
-        scored_ready_.push_back(std::move(scored));
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches_run;
-      units_batched_total_ += j - i;
-      stats_.chunks_scored += j - i;
-      stats_.points_scored += points;
-    }
-    i = j;
-  }
-}
-
-void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
-                                                std::vector<PendingUnit> units) {
-  const ClusterEntry& entry = sentry_->library().clusters()[cluster];
   // One snapshot for the whole batch: every unit in it is scored by the
   // same generation set, and the snapshot keeps retired generations alive
   // through our forwards (the RCU grace period).
@@ -714,6 +588,9 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
   const std::size_t M = num_metrics_;
   std::size_t i = 0;
   while (i < units.size()) {
+    // Pack units into one batched forward up to max_batch_tokens rows. A
+    // single oversized unit still goes alone (it cannot be split: its
+    // attention window is the chunk).
     std::size_t j = i + 1;
     std::size_t rows = units[i].tokens.size(0);
     if (config_.max_batch_tokens > 0) {
@@ -759,18 +636,26 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
       }
     }
     std::vector<ScoredUnit> results(j - i);
+    for (std::size_t k = i; k < j; ++k) {
+      results[k - i].node = units[k].node;
+      results[k - i].abs_begin = units[k].abs_begin;
+    }
     std::size_t points = 0;
     for (std::size_t gi = 0; gi < gens.size(); ++gi) {
       const ModelGeneration& gen = *gens[gi];
       const bool newest = gi + 1 == gens.size();
+      // Strict: the canonical autograd forward, bitwise-stable for replay.
+      // Relaxed/quantized: the compiled plan — same math, vector rounding.
       Tensor rec_all;
       if (!plans.empty()) {
         rec_all = plans[gi]->forward(x, offsets, seg_ids, block_lens,
                                      scoring_workspace(), pool_);
       } else {
+        // The newest generation's forward is the last reader of x.
         rec_all = gen.model
-                      ->forward_blocked(Var::constant(x.clone()), offsets,
-                                        seg_ids, rng, block_lens)
+                      ->forward_blocked(
+                          Var::constant(newest ? std::move(x) : x.clone()),
+                          offsets, seg_ids, rng, block_lens)
                       .value();
       }
       base = 0;
@@ -780,23 +665,20 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
         const Tensor rec = slice_rows(rec_all, base, base + len);
         base += len;
         ScoredUnit& scored = results[k - i];
-        std::vector<float> lane(len, 0.0f);
+        std::vector<float>& lane = scored.lane_scores.emplace_back(len, 0.0f);
         const std::size_t scored_points = chunk_point_scores(
             entry.metric_weights, gen.residual_scale, gen.baseline_error, rec,
             unit.tokens, masked_mode_ ? &masks[k - i] : nullptr, 0, 0,
             lane.data());
         scored.lanes.push_back(static_cast<std::uint8_t>(gen.gen_id % G));
         if (newest) {
-          // The newest generation is the primary lane: its scores feed the
-          // reported timeline (and, with G == 1, reproduce the single-model
-          // path bitwise).
-          scored.node = unit.node;
-          scored.abs_begin = unit.abs_begin;
-          scored.scores = lane;
-          scored.scored_points = scored_points;
+          // The newest generation is the primary lane: its scores are the
+          // reported ones (with G == 1, bitwise what batch detect() scores).
           if (config_.attribution) {
             // Attribution follows the primary lane: the same generation
-            // statistics that produced the reported scores.
+            // statistics that produced the reported scores, in a separate
+            // pass with identical arithmetic (the score bits above are
+            // already written and never revisited).
             scored.contrib.assign(len * M, 0.0f);
             chunk_point_metric_contributions(
                 entry.metric_weights, gen.residual_scale, gen.baseline_error,
@@ -805,10 +687,9 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
           }
           points += scored_points;
         }
-        scored.lane_scores.push_back(std::move(lane));
       }
     }
-    batch_timer.stop();
+    batch_timer.stop();  // the batched forwards + scoring, not the fold-in
     {
       std::lock_guard<std::mutex> lock(results_mutex_);
       for (ScoredUnit& scored : results)
@@ -831,41 +712,32 @@ void ServeEngine::drain_scored() {
     std::lock_guard<std::mutex> lock(results_mutex_);
     ready.swap(scored_ready_);
   }
-  // Lane/attribution timelines get the same reserve-to-extent treatment as
-  // the commit path: the node's known frontier is the hint, so one
-  // reservation covers many future units.
+  // Lane/attribution timelines reserve out to the node's known frontier,
+  // so one reservation covers many future units.
   std::size_t reallocs = 0;
   for (const ScoredUnit& unit : ready) {
-    std::vector<float>& timeline = scores_[unit.node];
-    const std::size_t end = unit.abs_begin + unit.scores.size();
+    const std::size_t end = unit.abs_begin + unit.lane_scores.back().size();
     const std::size_t hint = std::max(nodes_[unit.node].max_seen + 1, end);
-    reallocs += grow_timeline(timeline, end, hint, 0.0f);
-    // Units cover disjoint [abs_begin, end) ranges; unscored cells inside a
-    // unit are 0 in its buffer, matching batch detect() leaving them 0.
-    std::copy(unit.scores.begin(), unit.scores.end(),
-              timeline.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin));
+    // Fold every generation's scores into its lane timeline. Units cover
+    // disjoint [abs_begin, end) ranges; unscored cells inside a unit are 0
+    // in its buffer, matching batch detect() leaving them 0. Lanes within
+    // one snapshot are distinct (gen_ids are consecutive, G apart repeats).
+    ScoredSpan span{unit.abs_begin, end, 0, unit.lanes.back()};
+    for (std::size_t li = 0; li < unit.lanes.size(); ++li) {
+      const std::uint8_t lane = unit.lanes[li];
+      std::vector<float>& timeline = lane_scores_[lane][unit.node];
+      reallocs += grow_timeline(timeline, end, hint);
+      std::copy(unit.lane_scores[li].begin(), unit.lane_scores[li].end(),
+                timeline.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin));
+      span.lanes |= static_cast<std::uint8_t>(1u << lane);
+    }
+    scored_spans_[unit.node].push_back(span);
     if (!unit.contrib.empty()) {
       std::vector<float>& plane = contrib_[unit.node];
       const std::size_t M = num_metrics_;
-      reallocs += grow_timeline(plane, end * M, hint * M, 0.0f);
+      reallocs += grow_timeline(plane, end * M, hint * M);
       std::copy(unit.contrib.begin(), unit.contrib.end(),
                 plane.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin * M));
-    }
-    if (unit.lanes.empty()) continue;
-    // Consensus mode: fold every generation's scores into its lane
-    // timeline and record which lanes covered these points. Lanes within
-    // one snapshot are distinct (gen_ids are consecutive, G apart repeats).
-    std::vector<std::uint8_t>& active = lane_active_[unit.node];
-    reallocs += grow_timeline(active, end, hint, std::uint8_t{0});
-    for (std::size_t li = 0; li < unit.lanes.size(); ++li) {
-      const std::uint8_t lane = unit.lanes[li];
-      std::vector<float>& lane_timeline = lane_scores_[lane][unit.node];
-      reallocs += grow_timeline(lane_timeline, end, hint, 0.0f);
-      std::copy(
-          unit.lane_scores[li].begin(), unit.lane_scores[li].end(),
-          lane_timeline.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin));
-      for (std::size_t t = unit.abs_begin; t < end; ++t)
-        active[t] |= static_cast<std::uint8_t>(1u << lane);
     }
   }
   if (reallocs > 0) {
@@ -953,9 +825,11 @@ ServeResult ServeEngine::finalize() {
   inflight_.clear();
   drain_scored();
 
+  // Every scored tick is committed, so the committed frontier bounds the
+  // timeline.
   std::size_t timeline_end = start_t_;
-  for (const std::vector<float>& timeline : scores_)
-    timeline_end = std::max(timeline_end, timeline.size());
+  for (const NodeState& st : nodes_)
+    timeline_end = std::max(timeline_end, st.next_t);
 
   ServeResult result;
   result.timeline_end = timeline_end;
@@ -964,13 +838,10 @@ ServeResult ServeEngine::finalize() {
     result.attribution.num_metrics = num_metrics_;
     result.attribution.contrib.assign(nodes_.size(), {});
   }
-  const NodeSentryConfig& cfg = sentry_->config();
   // Per-node thresholding writes disjoint detection records; fan it out
   // across the engine's pool (all scoring tasks have drained by now).
   pool_->parallel_for(0, nodes_.size(), 1, [&](std::size_t n) {
     NodeDetection& det = result.detections[n];
-    det.scores = std::move(scores_[n]);
-    det.scores.resize(timeline_end, 0.0f);
     if (config_.attribution) {
       // Same alignment as the scores: one [t, M] plane per node, zero
       // wherever the point was never scored.
@@ -978,15 +849,9 @@ ServeResult ServeEngine::finalize() {
       plane = std::move(contrib_[n]);
       plane.resize(timeline_end * num_metrics_, 0.0f);
     }
-    if (!config_.consensus_scoring) {
-      const std::vector<float> reference =
-          score_reference_levels(det.scores, ranges_[n]);
-      det.predictions = detection_flags(det.scores, reference, start_t_, cfg);
-      return;
-    }
     std::size_t points = 0;
     std::size_t disagreements = 0;
-    consensus_node_predictions(n, det, timeline_end, &points, &disagreements);
+    node_detection(n, det, timeline_end, &points, &disagreements);
     if (points > 0) consensus_points_counter_->inc(points);
     if (disagreements > 0)
       consensus_disagreements_counter_->inc(disagreements);
@@ -1019,39 +884,57 @@ ServeResult ServeEngine::finalize() {
   return result;
 }
 
-void ServeEngine::consensus_node_predictions(
-    std::size_t node, NodeDetection& det, std::size_t timeline_end,
-    std::size_t* out_points, std::size_t* out_disagreements) const {
+void ServeEngine::node_detection(std::size_t node, NodeDetection& det,
+                                 std::size_t timeline_end,
+                                 std::size_t* out_points,
+                                 std::size_t* out_disagreements) {
   const NodeSentryConfig& cfg = sentry_->config();
   const std::size_t G = config_.generations;
-  const std::vector<std::uint8_t>& active = lane_active_[node];
+  std::vector<ScoredSpan>& spans = scored_spans_[node];
+  std::sort(spans.begin(), spans.end(),
+            [](const ScoredSpan& a, const ScoredSpan& b) {
+              return a.begin < b.begin;
+            });
   std::uint8_t node_mask = 0;
-  for (const std::uint8_t bits : active) node_mask |= bits;
+  for (const ScoredSpan& span : spans) node_mask |= span.lanes;
   // Each lane thresholds its own full timeline with the shared k-sigma
-  // machinery — identical arithmetic to the single-model path, so a lone
-  // lane (G == 1) reproduces it bitwise.
+  // machinery — at G == 1 the one lane is exactly batch detect()'s
+  // thresholding.
   std::vector<std::vector<std::uint8_t>> lane_flags(G);
   for (std::size_t lane = 0; lane < G; ++lane) {
     if ((node_mask & (1u << lane)) == 0) continue;
-    std::vector<float> lane_timeline = lane_scores_[lane][node];
-    lane_timeline.resize(timeline_end, 0.0f);
+    std::vector<float>& timeline = lane_scores_[lane][node];
+    timeline.resize(timeline_end, 0.0f);
     const std::vector<float> reference =
-        score_reference_levels(lane_timeline, ranges_[node]);
-    lane_flags[lane] =
-        detection_flags(lane_timeline, reference, start_t_, cfg);
+        score_reference_levels(timeline, ranges_[node]);
+    lane_flags[lane] = detection_flags(timeline, reference, start_t_, cfg);
   }
+  // Reported scores: every span's primary lane; never-scored points stay 0.
+  det.scores.assign(timeline_end, 0.0f);
+  for (const ScoredSpan& span : spans) {
+    const std::vector<float>& timeline = lane_scores_[span.primary][node];
+    std::copy(timeline.begin() + static_cast<std::ptrdiff_t>(span.begin),
+              timeline.begin() + static_cast<std::ptrdiff_t>(span.end),
+              det.scores.begin() + static_cast<std::ptrdiff_t>(span.begin));
+  }
+  for (std::size_t lane = 0; lane < G; ++lane)
+    std::vector<float>().swap(lane_scores_[lane][node]);
   det.predictions.assign(timeline_end, 0);
   const std::uint8_t all_mask =
       static_cast<std::uint8_t>(G >= 8 ? 0xFFu : (1u << G) - 1u);
   std::size_t points = 0;
   std::size_t disagreements = 0;
+  std::size_t next_span = 0;
   for (std::size_t t = start_t_; t < timeline_end; ++t) {
-    std::uint8_t mask = t < active.size() ? active[t] : 0;
+    while (next_span < spans.size() && spans[next_span].end <= t) ++next_span;
+    std::uint8_t mask = next_span < spans.size() && spans[next_span].begin <= t
+                            ? spans[next_span].lanes
+                            : 0;
     const bool voted = mask != 0;
     // Unscored points fall back to the lanes that scored this node at all
     // (their flags still cover t through smoothing), then to every lane:
-    // all-absent flags vote 0 and the point stays unflagged, matching the
-    // single-model path's score-0 handling.
+    // all-absent flags vote 0 and the point stays unflagged, like a
+    // score-0 point.
     if (mask == 0) mask = node_mask != 0 ? node_mask : all_mask;
     std::size_t votes = 0;
     std::size_t active_lanes = 0;
@@ -1069,14 +952,13 @@ void ServeEngine::consensus_node_predictions(
       if (votes > 0 && votes < active_lanes) ++disagreements;
     }
   }
+  std::vector<ScoredSpan>().swap(spans);
   *out_points = points;
   *out_disagreements = disagreements;
 }
 
-bool ServeEngine::checkpoint(const std::string& dir) {
-  if (gen_registry_ == nullptr) return false;
+void ServeEngine::checkpoint(const std::string& dir) {
   gen_registry_->save(dir);
-  return true;
 }
 
 ServeStats ServeEngine::stats() const {

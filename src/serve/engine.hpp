@@ -6,13 +6,17 @@
 // segment's matching window settles, it is matched against the cluster
 // library (§3.5) and its token chunks are queued as scoring units. pump()
 // packs queued units *across nodes* by matched cluster and submits one
-// thread-pool task per cluster; each task runs batched forwards
-// (TransformerReconstructor::forward_blocked, block-diagonal attention), so
-// one model pass serves many nodes while staying bit-identical to scoring
-// each chunk alone. finalize() closes open segments, drains the pool, and
-// applies the shared thresholding path (score_reference_levels /
-// detection_flags) — on clean data the result reproduces batch detect()
-// (with incremental updates off) within float round-off (in practice:
+// thread-pool task per cluster; each task snapshots the cluster's
+// generation set from the GenerationRegistry (DESIGN.md §12) and runs one
+// batched forward per live generation (TransformerReconstructor::
+// forward_blocked, block-diagonal attention), so one model pass serves many
+// nodes while staying bit-identical to scoring each chunk alone. There is
+// one scoring path: a plain deployment is G = 1, Q = 1, whose one seed
+// generation is the fitted library model. finalize() closes open segments,
+// drains the pool, thresholds each generation lane with the shared path
+// (score_reference_levels / detection_flags) and takes the >= Q vote — on
+// clean data at G = 1 the result reproduces batch detect() (with
+// incremental updates off) within float round-off (in practice:
 // bit-identical).
 //
 // ServeEngine is one implementation of the ServeBackend contract
@@ -130,21 +134,17 @@ struct ServeConfig {
   std::shared_ptr<ClusterLockTable> cluster_locks;
 
   // ---- rolling generations + consensus (DESIGN.md §12)
-  /// Score through the generation registry instead of the single library
-  /// model. Off (the default) is exactly the historic single-model path;
-  /// on with generations == consensus_quorum == 1 reproduces it bitwise
-  /// through the registry's seed generation.
-  bool consensus_scoring = false;
-  /// G: staggered model generations per cluster (1..8; the per-point lane
-  /// bitmap is a byte).
+  /// G: staggered model generations per cluster (1..8; a scored unit's
+  /// lane bitmap is a byte). Every engine scores through the generation
+  /// registry; G = 1 (the default) scores each cluster with its fitted
+  /// library model, bitwise what batch detect() computes.
   std::size_t generations = 1;
   /// Q: a point is flagged when >= min(Q, lanes active at that point)
   /// generations flag it — the bootstrap/quarantine fallback: with fewer
   /// than Q generations alive, the ones that exist decide.
   std::size_t consensus_quorum = 1;
-  /// External generation registry shared with a Retrainer; null makes the
-  /// engine own one, seeded from the fitted library. Ignored unless
-  /// consensus_scoring.
+  /// External generation registry shared with a Retrainer (its cap must
+  /// be G); null makes the engine own one, seeded from the fitted library.
   GenerationRegistry* generation_registry = nullptr;
   /// When set, every matched closed segment's centered tokens are offered
   /// to this retrainer (bounded ring, never blocks ingest).
@@ -225,9 +225,8 @@ class ServeEngine final : public ServeBackend {
       config_.cluster_locks = std::move(table);
       return *this;
     }
-    /// Enables consensus scoring over G generations with quorum Q.
+    /// Consensus over G generations with quorum Q (default G = Q = 1).
     Options& consensus(std::size_t g, std::size_t q) {
-      config_.consensus_scoring = true;
       config_.generations = g;
       config_.consensus_quorum = q;
       return *this;
@@ -287,10 +286,10 @@ class ServeEngine final : public ServeBackend {
 
   const ServeConfig& config() const { return config_; }
   /// The generation registry scoring reads (the external one, or the
-  /// engine-owned one seeded from the library); null in single-model mode.
+  /// engine-owned one seeded from the library); never null.
   GenerationRegistry* generation_registry() override { return gen_registry_; }
-  /// Saves the generation sets (no-op returning false in single-model mode).
-  bool checkpoint(const std::string& dir) override;
+  /// Saves the generation sets scoring reads.
+  void checkpoint(const std::string& dir) override;
 
  private:
   struct OpenSegment {
@@ -334,21 +333,28 @@ class ServeEngine final : public ServeBackend {
     std::vector<std::uint8_t> valid;  ///< [len * M]; empty = all valid
   };
 
-  /// A scored unit ready to fold into the per-node score timeline.
+  /// A scored unit ready to fold into the per-node lane timelines.
   struct ScoredUnit {
     std::size_t node = 0;
     std::size_t abs_begin = 0;
-    /// Primary scores (consensus mode: the newest generation's lane).
-    std::vector<float> scores;
-    std::size_t scored_points = 0;
-    /// Consensus mode: one score timeline per generation that scored this
-    /// unit, with the lane index (gen_id % G) it belongs to. Empty in
-    /// single-model mode.
+    /// One score buffer per generation that scored this unit, oldest
+    /// first, with the lane (gen_id % G) each belongs to. The last — the
+    /// newest generation — is the primary lane: its scores are reported.
     std::vector<std::uint8_t> lanes;
     std::vector<std::vector<float>> lane_scores;
     /// Attribution mode: per-metric terms of the primary scores,
     /// [len * M] row-major. Empty unless ServeConfig::attribution.
     std::vector<float> contrib;
+  };
+
+  /// A folded unit's footprint on its node's timeline: the ticks
+  /// [begin, end) it covers, the bitmap of lanes that scored them, and the
+  /// primary lane whose scores are reported there.
+  struct ScoredSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::uint8_t lanes = 0;
+    std::uint8_t primary = 0;
   };
 
   void commit_row(std::size_t node, std::size_t t, std::int64_t job_id,
@@ -369,8 +375,6 @@ class ServeEngine final : public ServeBackend {
   void enqueue_unit(PendingUnit unit);
   void score_cluster_units(std::size_t cluster,
                            std::vector<PendingUnit> units);
-  void score_cluster_units_consensus(std::size_t cluster,
-                                     std::vector<PendingUnit> units);
   /// Cached compiled ScoringPlan for one model (relaxed/quantized paths).
   /// Plans are keyed by model identity; an entry whose model died (its
   /// generation was retired and freed) is rebuilt, so address reuse can
@@ -382,12 +386,13 @@ class ServeEngine final : public ServeBackend {
       const std::shared_ptr<TransformerReconstructor>& model,
       const QuantCalibration* calibration);
   void drain_scored();
-  /// Consensus thresholding for one node (called from finalize's
-  /// parallel_for): per-lane reference levels + flags, then the >= Q vote.
-  void consensus_node_predictions(std::size_t node, NodeDetection& det,
-                                  std::size_t timeline_end,
-                                  std::size_t* out_points,
-                                  std::size_t* out_disagreements) const;
+  /// Thresholding for one node (called from finalize's parallel_for):
+  /// per-lane reference levels + flags, the >= Q vote, and the reported
+  /// scores gathered from each span's primary lane. Frees the node's lane
+  /// timelines.
+  void node_detection(std::size_t node, NodeDetection& det,
+                      std::size_t timeline_end, std::size_t* out_points,
+                      std::size_t* out_disagreements);
 
   NodeSentry* sentry_;
   ServeConfig config_;
@@ -407,23 +412,22 @@ class ServeEngine final : public ServeBackend {
   /// fleet, serialized across ALL shard engines (the table is shared).
   std::shared_ptr<ClusterLockTable> cluster_locks_;
 
-  /// Consensus mode state. The engine owns the registry unless an external
-  /// one was supplied. Lane timelines mirror scores_ per generation lane
-  /// (lane = gen_id % G); lane_active_[node][t] is the bitmap of lanes
-  /// that scored point t — the bootstrap/quarantine fallback keys off it.
-  /// Lane state is written by pool tasks ONLY through drain_scored()
-  /// (ingest thread), same discipline as scores_.
+  /// Scoring state. The engine owns the registry unless an external one
+  /// was supplied. One score timeline per generation lane (lane =
+  /// gen_id % G) per node, and per node the spans of folded units — which
+  /// lanes scored which ticks; the bootstrap/quarantine fallback keys off
+  /// them. Written by pool tasks ONLY through drain_scored() (ingest
+  /// thread).
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
   std::vector<std::vector<std::vector<float>>> lane_scores_;  ///< [G][node][t]
-  std::vector<std::vector<std::uint8_t>> lane_active_;        ///< [node][t]
+  std::vector<std::vector<ScoredSpan>> scored_spans_;         ///< [node]
 
   std::vector<NodeState> nodes_;
   /// Store path: per-node retained samples awaiting their anomaly bit
   /// (stamped in finalize). Empty vectors unless store_writer is set.
   std::vector<std::vector<StoreSample>> retained_;
-  std::vector<std::vector<float>> scores_;  ///< [node][t], grows with ingest
-  /// Attribution mode: per-metric planes mirroring scores_ —
+  /// Attribution mode: per-metric planes of the primary scores —
   /// [node][t * M + m], written only through drain_scored() (ingest
   /// thread), handed to ServeResult::attribution at finalize. Empty
   /// vectors unless ServeConfig::attribution.

@@ -115,8 +115,8 @@ class FleetEngine final : public ServeBackend {
   std::size_t start_t() const override { return start_t_; }
   GenerationRegistry* generation_registry() override { return gen_registry_; }
   /// Saves the fleet-shared generation sets (once — the shards share one
-  /// registry); false in single-model mode.
-  bool checkpoint(const std::string& dir) override;
+  /// registry).
+  void checkpoint(const std::string& dir) override;
 
   std::size_t num_shards() const { return shards_.size(); }
   const ConsistentHashRing& placement() const { return ring_; }
@@ -144,8 +144,8 @@ class FleetEngine final : public ServeBackend {
   std::size_t start_t_ = 0;
   bool finalized_ = false;
 
-  /// Fleet-shared: per-cluster forward locks and (consensus mode) the one
-  /// generation registry every shard scores through.
+  /// Fleet-shared: per-cluster forward locks and the one generation
+  /// registry every shard scores through.
   std::shared_ptr<ClusterLockTable> cluster_locks_;
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;

@@ -54,7 +54,7 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
   ServeConfig engine_config = config_.engine;
   // The generations sub-config is the single source of truth for the
   // consensus knobs — it overwrites whatever the engine template carried.
-  engine_config.consensus_scoring = config_.generations.enabled;
+  // Disabled serves G = Q = 1 through the backend's own registry.
   engine_config.generations =
       config_.generations.enabled ? config_.generations.generations : 1;
   engine_config.consensus_quorum =
@@ -143,9 +143,9 @@ ReplayReport ServeSession::run() {
 }
 
 bool ServeSession::save_generations(const std::string& dir) {
-  const std::string generations_dir =
-      (std::filesystem::path(dir) / "generations").string();
-  return backend_->checkpoint(generations_dir);
+  if (!config_.generations.enabled) return false;
+  backend_->checkpoint((std::filesystem::path(dir) / "generations").string());
+  return true;
 }
 
 }  // namespace ns

@@ -42,8 +42,9 @@ struct ServeSessionConfig {
     std::size_t vnodes_per_shard = 64;
   } fleet;
 
-  /// Rolling generations + consensus (DESIGN.md §12). Disabled = the
-  /// single-model path.
+  /// Rolling generations + consensus (DESIGN.md §12). Disabled serves
+  /// G = Q = 1 (each cluster's fitted model) through the backend's own
+  /// registry: no retrainer, no restore, nothing saved.
   struct Generations {
     bool enabled = false;
     std::size_t generations = 1;  ///< G in [1, 8]
@@ -111,8 +112,8 @@ class ServeSession {
   /// Null unless the store was configured.
   StoreWriter* store_writer() { return store_writer_.get(); }
 
-  /// Saves the generation sets under <dir>/generations; false in
-  /// single-model mode.
+  /// Saves the generation sets under <dir>/generations; false (and
+  /// writes nothing) unless generations.enabled.
   bool save_generations(const std::string& dir);
 
  private:

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -381,24 +382,31 @@ void TimeSeriesStore::seal_page(std::size_t node) {
   info.payload_bytes = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t payload_crc = crc32(payload.data(), payload.size());
   const auto header = encode_frame_header(info, payload_crc);
+  std::vector<std::uint8_t> frame;
+  frame.reserve(header.size() + payload.size());
+  frame.insert(frame.end(), header.begin(), header.end());
+  frame.insert(frame.end(), payload.begin(), payload.end());
 
-  if (!shard.out) {
-    if (shard.pages_in_current == 0) {
-      evict_segments(node);
-      ++shard.stats.segments_started;
-    }
-    shard.out = std::make_unique<std::ofstream>(
-        segment_path(node, shard.next_seq),
-        std::ios::binary | std::ios::app);
-    NS_REQUIRE(shard.out->good(), "store: cannot open segment "
-                                      << segment_path(node, shard.next_seq));
+  if (shard.pages_in_current == 0) {
+    evict_segments(node);
+    ++shard.stats.segments_started;
   }
-  shard.out->write(reinterpret_cast<const char*>(header.data()),
-                   static_cast<std::streamsize>(header.size()));
-  shard.out->write(reinterpret_cast<const char*>(payload.data()),
-                   static_cast<std::streamsize>(payload.size()));
-  NS_REQUIRE(shard.out->good(), "store: segment write failed for node "
-                                    << node);
+  // The segment is opened per seal, never held between seals: a store's
+  // open descriptors stay constant however many nodes it has.
+  const std::string path = segment_path(node, shard.next_seq);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  NS_REQUIRE(fd >= 0, "store: cannot open segment " << path);
+  std::size_t written = 0;
+  while (written < frame.size()) {
+    const ssize_t n =
+        ::write(fd, frame.data() + written, frame.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  const bool closed = ::close(fd) == 0;
+  NS_REQUIRE(written == frame.size() && closed,
+             "store: segment write failed for node " << node);
   PageEntry page;
   page.seq = shard.next_seq;
   page.offset = shard.current_offset;
@@ -413,8 +421,6 @@ void TimeSeriesStore::seal_page(std::size_t node) {
   ++shard.stats.pages_sealed;
   shard.stats.bytes_written += kPageFrameHeaderSize + payload.size();
   if (shard.pages_in_current >= config_.segment_pages) {
-    shard.out->flush();
-    shard.out.reset();
     ++shard.next_seq;
     shard.pages_in_current = 0;
     shard.current_offset = 0;
@@ -437,10 +443,7 @@ void TimeSeriesStore::evict_segments(std::size_t node) {
 }
 
 void TimeSeriesStore::flush() {
-  for (std::size_t n = 0; n < shards_.size(); ++n) {
-    seal_page(n);
-    if (shards_[n].out) shards_[n].out->flush();
-  }
+  for (std::size_t n = 0; n < shards_.size(); ++n) seal_page(n);
   // Index last: segment bytes are on disk before the commit point moves.
   write_framed_file(index_path(dir_), serialize_index(meta_, config_));
 }

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,8 +94,9 @@ class TimeSeriesStore {
   /// concurrently for distinct nodes.
   void append(std::size_t node, const StoreSample& sample);
 
-  /// Seals open pages, flushes segment bytes, then writes the index —
-  /// last, through the atomic framed writer. After flush() every appended
+  /// Seals open pages (every seal writes its frame straight to the
+  /// segment file), then writes the index — last, through the atomic
+  /// framed writer. After flush() every appended
   /// sample is durable and queryable.
   void flush();
 
@@ -173,7 +173,6 @@ class TimeSeriesStore {
     std::size_t next_seq = 0;            ///< segment currently appended
     std::size_t pages_in_current = 0;
     std::uint64_t current_offset = 0;
-    std::unique_ptr<std::ofstream> out;  ///< open segment file
     bool any_sealed = false;
     std::uint64_t last_t = 0;            ///< newest tick (sealed or open)
     bool any_t = false;

@@ -251,8 +251,8 @@ TEST_F(FleetFixture, SessionRunsAFleetAndMatchesTheSingleEngine) {
   EXPECT_EQ(session.backend().num_nodes(), sim_->data.num_nodes());
   const ReplayReport rep = session.run();
   expect_bitwise_equal(rep.result.detections, single_->result.detections);
-  // Single-model mode: nothing to checkpoint.
-  EXPECT_FALSE(session.backend().checkpoint("/nonexistent/never-written"));
+  // Generations disabled: the session saves nothing.
+  EXPECT_FALSE(session.save_generations("/nonexistent/never-written"));
 }
 
 TEST(FleetSession, ValidateRejectsBrokenConfigs) {

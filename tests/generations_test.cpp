@@ -183,7 +183,6 @@ TEST_F(GenerationsFixture, ConsensusWithOneGenerationMatchesBatchBitwise) {
   obs::Registry obs;
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;  // G = 1, Q = 1 defaults
   ServeEngine engine(*sentry_, config);
   const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
 
@@ -197,6 +196,33 @@ TEST_F(GenerationsFixture, ConsensusWithOneGenerationMatchesBatchBitwise) {
   EXPECT_EQ(engine.generation_registry()->max_generations(), 1u);
 }
 
+// Graceful degradation: a cluster whose every generation is quarantined
+// scores with its fitted library model, so quarantining the whole seed set
+// at G = 1 still reproduces batch detect() bitwise.
+TEST_F(GenerationsFixture, AllQuarantinedFallsBackToLibraryModelsBitwise) {
+  obs::Registry obs;
+  GenerationRegistry registry(sentry_->library().size(), 1, &obs);
+  registry.seed_from_library(sentry_->library());
+  for (std::size_t c = 0; c < registry.num_clusters(); ++c)
+    ASSERT_TRUE(registry.quarantine(c, 0));
+  ServeEngine engine(
+      *sentry_,
+      ServeEngine::Options().metrics(&obs).generation_registry(&registry));
+  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+
+  ASSERT_EQ(rep.result.detections.size(), batch_->detections.size());
+  const DetectionDelta delta =
+      compare_detections(rep.result.detections, batch_->detections);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
+  EXPECT_EQ(delta.prediction_mismatches, 0u);
+  EXPECT_GT(rep.result.stats.points_scored, 0u);
+  // Nothing reseeded the registry: the fallback scored every point.
+  for (const auto& snap : all_snapshots(registry)) {
+    ASSERT_EQ(snap->generations.size(), 1u);
+    EXPECT_TRUE(snap->generations.front().quarantined);
+  }
+}
+
 TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
@@ -206,7 +232,6 @@ TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
   // First replay seeds the registry (via the engine) and feeds the rings.
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;
   config.generations = 3;
   config.consensus_quorum = 2;
   config.generation_registry = &registry;
@@ -440,7 +465,6 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
 
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;
   config.generations = 3;
   config.consensus_quorum = 2;
   config.generation_registry = &registry;
@@ -485,7 +509,6 @@ TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
 
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;
   config.generations = 2;
   config.consensus_quorum = 1;
   config.generation_registry = &registry;

@@ -572,6 +572,44 @@ TEST(StoreFiles, RingRetentionEvictsOldestSegments) {
   fs::remove_all(dir);
 }
 
+std::size_t open_descriptors() {
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// A segment file is open only while one page is written to it, so a store
+// with more nodes than the descriptor limit still seals every node.
+TEST(StoreFiles, OpenDescriptorsDoNotGrowWithNodeCount) {
+  if (!fs::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd";
+  }
+  constexpr std::size_t kNodes = 1500;
+  const std::string dir = temp_dir("descriptors");
+  TimeSeriesStore store = TimeSeriesStore::create(
+      dir, small_meta(kNodes, 2), StoreConfig{64, 64, 0});
+  const std::size_t before = open_descriptors();
+  StoreSample sample;
+  sample.values.resize(2);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    for (std::size_t t = 0; store.node_pages(n) == 0; ++t) {
+      sample.t = t;
+      sample.values[0] = static_cast<float>(t * 7 + n);
+      sample.values[1] = static_cast<float>(n) - static_cast<float>(t);
+      store.append(n, sample);
+    }
+    ASSERT_EQ(store.node_pages(n), 1u) << "node " << n;
+  }
+  EXPECT_LE(open_descriptors(), before)
+      << "open descriptors grew while " << kNodes << " nodes sealed a page";
+  store.flush();
+  EXPECT_LE(open_descriptors(), before);
+  fs::remove_all(dir);
+}
+
 // The store keeps no mappings of its own, but a live cursor holds the one
 // it decodes from: deleting the file under it (what ring retention does)
 // must not cut the read short.
