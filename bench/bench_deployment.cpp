@@ -173,8 +173,10 @@ int main() {
   // autograd forward vs the compiled ScoringPlan on one core, one fitted
   // cluster model, identical batches. This isolates the forward-path
   // arithmetic the relaxed contract legalizes — the 4x AVX2 gate applies
-  // here; the end-to-end replay comparison below includes ingest/match/
-  // threshold overhead common to every path and is informational.
+  // to the quantized plan here; the strict plan (canonical kernels, what
+  // strict serving runs) is informational, as is the end-to-end replay
+  // comparison below, which includes ingest/match/threshold overhead
+  // common to every path.
   std::printf("\n=== Per-core forward scoring throughput ===\n\n");
   const ClusterEntry& bench_cluster = sentry.library().clusters().front();
   TransformerReconstructor& bench_model = *bench_cluster.model;
@@ -210,10 +212,15 @@ int main() {
     (void)bench_model.forward_blocked(fwd_input, fwd_offsets, fwd_segs,
                                       fwd_rng, fwd_blocks);
   });
+  const ScoringPlan strict_plan(bench_model, ScoringPath::kStrict);
   const ScoringPlan relaxed_plan(bench_model);
   const QuantCalibration bench_calib = calibrate_quantization(bench_model);
   const ScoringPlan quantized_plan(bench_model, &bench_calib);
   Workspace fwd_ws;
+  const double strict_plan_pps = time_forward([&] {
+    (void)strict_plan.forward(fwd_x, fwd_offsets, fwd_segs, fwd_blocks,
+                              fwd_ws);
+  });
   const double relaxed_pps = time_forward([&] {
     (void)relaxed_plan.forward(fwd_x, fwd_offsets, fwd_segs, fwd_blocks,
                                fwd_ws);
@@ -225,6 +232,8 @@ int main() {
   const double core_speedup =
       canonical_pps > 0.0 ? quantized_pps / canonical_pps : 0.0;
   std::printf("canonical: %.0f points/s/core\n", canonical_pps);
+  std::printf("strict:    %.0f points/s/core (%.2fx, plan)\n",
+              strict_plan_pps, strict_plan_pps / canonical_pps);
   std::printf("relaxed:   %.0f points/s/core (%.2fx)\n", relaxed_pps,
               relaxed_pps / canonical_pps);
   std::printf("quantized: %.0f points/s/core (%.2fx)\n", quantized_pps,
@@ -270,6 +279,7 @@ int main() {
   const char* json_path = "BENCH_serve.json";
   if (FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f, "{\n");
+    std::fprintf(f, "  \"host\": %s,\n", bench::host_stamp_json().c_str());
     std::fprintf(f, "  \"samples_streamed\": %zu,\n",
                  replay.samples_streamed);
     std::fprintf(f, "  \"ingest_seconds\": %.6f,\n", replay.ingest_seconds);
@@ -302,6 +312,9 @@ int main() {
                  kernel_tier_name(kernel_dispatch_tier()));
     std::fprintf(f, "  \"canonical_forward_points_per_second_core\": %.1f,\n",
                  canonical_pps);
+    std::fprintf(f,
+                 "  \"strict_plan_forward_points_per_second_core\": %.1f,\n",
+                 strict_plan_pps);
     std::fprintf(f, "  \"relaxed_forward_points_per_second_core\": %.1f,\n",
                  relaxed_pps);
     std::fprintf(f, "  \"quantized_forward_points_per_second_core\": %.1f,\n",

@@ -32,9 +32,10 @@
 //                   engine shards (1 = the classic single engine)
 //   --ring-capacity per-shard SPSC ingest ring capacity (samples)
 //   --speedup       pace replay at F x real time (0 = as fast as possible)
-//   --strict-replay score through the canonical model forwards (bitwise
-//                   identical to batch detect) instead of the default
-//                   quantized fast path (DESIGN.md §16). Implied by
+//   --strict-replay score through the compiled plan on canonical kernels
+//                   (bitwise identical to the model's forward and so to
+//                   batch detect) instead of the default quantized fast
+//                   path (DESIGN.md §16). Implied by
 //                   --verify, whose equivalence check is a bitwise
 //                   contract; detection quality is equivalent either way
 //                   (flags can only differ for scores already within

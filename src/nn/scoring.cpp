@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -62,8 +63,11 @@ QuantCalibration calibrate_quantization(
 }
 
 ScoringPlan::ScoringPlan(const TransformerReconstructor& model,
-                         const QuantCalibration* calibration)
-    : quantized_(calibration != nullptr) {
+                         ScoringPath path, const QuantCalibration* calibration)
+    : path_(path) {
+  NS_REQUIRE((path == ScoringPath::kQuantized) == (calibration != nullptr),
+             "ScoringPlan: a quantization calibration is required by, and "
+             "only by, the quantized path");
   const TransformerConfig& cfg = model.config();
   input_dim_ = cfg.input_dim;
   d_model_ = cfg.d_model;
@@ -177,9 +181,10 @@ Tensor ScoringPlan::forward(const Tensor& x,
   const std::size_t tokens = x.size(0);
   NS_REQUIRE(offsets.size() == tokens && segment_ids.size() == tokens,
              "ScoringPlan: offsets/segment_ids must have one entry per token");
-  // The relaxed path's FastKernelScope legalization: every kernel below may
-  // use the dispatch tier's vector variants.
-  FastKernelScope fast;
+  // Relaxed/quantized legalize the dispatch tier's vector variants for
+  // every kernel below; strict runs each one canonically.
+  std::optional<FastKernelScope> fast;
+  if (path_ != ScoringPath::kStrict) fast.emplace();
   const std::size_t d = d_model_;
   const std::size_t one_block[1] = {tokens};
   const std::span<const std::size_t> blocks =

@@ -1,24 +1,29 @@
-// Forward-only scoring plan: the relaxed-arithmetic serve path's evaluator
-// (DESIGN.md §16).
+// Forward-only scoring plan: the serve path's one evaluator (DESIGN.md
+// §16).
 //
 // A ScoringPlan is an immutable, compiled form of one fitted
 // TransformerReconstructor. It re-expresses the model's eval-mode
 // forward_blocked() directly on the tensor kernels — no autograd nodes, no
 // per-op tensor allocation (scratch comes from a caller workspace), the
-// three per-head q/k/v projections packed into one [d, 3d] gemm, attention
-// evaluated by the fused block_attention_into kernel, and every gemm free
-// to use the FastKernelScope dispatch tier. Optionally the encoder/MoE
-// weight matrices are quantized to int8 with per-channel calibration.
+// three per-head q/k/v projections packed into one [d, 3d] gemm, and
+// attention evaluated by block_attention_into. Its ScoringPath picks the
+// arithmetic:
 //
-// Contract: the plan computes the same mathematical function as the model
-// (identical MoE top-k routing code, identical clamping, identical
-// residual structure) but NOT the same float rounding — outputs agree with
-// the canonical path to vector-math accuracy (or int8 accuracy when
-// quantized), never bitwise. Strict-replay serving keeps using the model's
-// own forward_blocked(); see ServeConfig::scoring_path.
+// - kStrict: fp32 weights, canonical kernels only, in forward_blocked's op
+//   order — outputs are bitwise the model's forward_blocked() at any pool
+//   size (a packed-column gemm accumulates each output element exactly as
+//   the per-head gemm does).
+// - kRelaxed: fp32 weights under a FastKernelScope — the same mathematical
+//   function (identical MoE top-k routing code, clamping and residual
+//   structure) evaluated with the dispatch tier's vector math, agreeing
+//   with the canonical path to vector-math accuracy, never bitwise.
+// - kQuantized: kRelaxed with the encoder/MoE weight matrices quantized to
+//   int8 with per-channel calibration.
 //
 // Thread safety: a built plan is immutable and may be shared across
 // threads; forward() only mutates the caller's workspace and its output.
+// The model's MoE routing state and module arenas are never touched, so
+// any number of threads may score one model at the same time.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +37,27 @@
 namespace ns {
 
 class ThreadPool;
+
+/// How serve-time forwards are evaluated (DESIGN.md §16).
+///
+/// Detection compares scores to k-sigma thresholds, so exact float
+/// reproducibility is a replay/testing concern, not a correctness one —
+/// the relaxed and quantized paths compute the same mathematical function
+/// with different rounding, and flag flips can only happen for scores
+/// already within rounding distance of the threshold.
+enum class ScoringPath {
+  /// Canonical kernels (scalar-reproducible), bitwise identical to the
+  /// model's forward_blocked() and so to batch detect() — the serve
+  /// default, and what serve_replay / compare_detections / all bitwise
+  /// tests use (the CLI's --strict-replay selects it).
+  kStrict = 0,
+  /// fp32 weights under a FastKernelScope: vector math on the dispatched
+  /// tier, fused scale+softmax attention.
+  kRelaxed = 1,
+  /// kRelaxed plus int8 per-channel quantized encoder/MoE weights (the
+  /// calibration travels with each model generation).
+  kQuantized = 2,
+};
 
 /// Per-channel int8 calibration for one model: the quantization scales of
 /// every quantizable weight matrix, in ScoringPlan traversal order —
@@ -49,16 +75,21 @@ QuantCalibration calibrate_quantization(const TransformerReconstructor& model);
 
 class ScoringPlan {
  public:
-  /// Compiles `model`. With a non-null `calibration` the encoder/MoE
-  /// weights are int8-quantized using its scales (which must match the
-  /// model's architecture); without one the plan keeps fp32 weights
-  /// (relaxed path). Weight storage is shared with the model, so the plan
-  /// must not outlive mutation of the model's parameters — serving never
-  /// mutates published models (retraining trains clones).
+  /// Compiles `model` for `path`. kQuantized needs a `calibration` (its
+  /// scales must match the model's architecture); the fp32 paths take
+  /// none. Weight storage is shared with the model, so the plan must not
+  /// outlive mutation of the model's parameters — serving never mutates
+  /// published models (retraining trains clones).
+  ScoringPlan(const TransformerReconstructor& model, ScoringPath path,
+              const QuantCalibration* calibration = nullptr);
+  /// The relaxed plan, or the quantized one when `calibration` is set.
   explicit ScoringPlan(const TransformerReconstructor& model,
-                       const QuantCalibration* calibration = nullptr);
+                       const QuantCalibration* calibration = nullptr)
+      : ScoringPlan(model,
+                    calibration != nullptr ? ScoringPath::kQuantized
+                                           : ScoringPath::kRelaxed,
+                    calibration) {}
 
-  bool quantized() const { return quantized_; }
   std::size_t input_dim() const { return input_dim_; }
 
   /// Evaluates the reconstruction of x [T, input_dim]. offsets /
@@ -92,7 +123,7 @@ class ScoringPlan {
   };
 
   std::size_t input_dim_ = 0, d_model_ = 0, heads_ = 0, head_dim_ = 0;
-  bool quantized_ = false;
+  ScoringPath path_ = ScoringPath::kStrict;
   PlanLinear input_proj_;
   Tensor sin_table_;           // shared with the model's posenc
   Tensor segment_embedding_;   // shared; unset when !segment_term_

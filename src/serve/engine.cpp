@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/mathutil.hpp"
 #include "common/stopwatch.hpp"
@@ -93,17 +94,6 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
   // deterministic (dropout short-circuits) and therefore order-independent.
   for (ClusterEntry& entry : sentry.mutable_library().clusters())
     if (entry.model) entry.model->set_training(false);
-  if (config_.cluster_locks) {
-    // Fleet mode: the lock table is shared across every shard engine so a
-    // cluster's model never runs two forwards anywhere in the fleet.
-    NS_REQUIRE(config_.cluster_locks->size() == sentry.library().size(),
-               "serve: shared lock table has "
-                   << config_.cluster_locks->size() << " clusters, library "
-                   << sentry.library().size());
-    cluster_locks_ = config_.cluster_locks;
-  } else {
-    cluster_locks_ = std::make_shared<ClusterLockTable>(sentry.library().size());
-  }
   if (config_.threads > 0) {
     owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
     pool_ = owned_pool_.get();
@@ -533,17 +523,13 @@ std::shared_ptr<const ScoringPlan> ServeEngine::plan_for(
   // Compile outside the lock: plan construction (and lazy calibration) is
   // the expensive part, and concurrent compiles of the same model are
   // idempotent — last writer wins, both plans are correct.
-  std::shared_ptr<const ScoringPlan> plan;
-  if (config_.scoring_path == ScoringPath::kQuantized) {
-    if (calibration != nullptr) {
-      plan = std::make_shared<const ScoringPlan>(*model, calibration);
-    } else {
-      const QuantCalibration local = calibrate_quantization(*model);
-      plan = std::make_shared<const ScoringPlan>(*model, &local);
-    }
-  } else {
-    plan = std::make_shared<const ScoringPlan>(*model);
-  }
+  const ScoringPath path = config_.scoring_path;
+  std::optional<QuantCalibration> local;
+  if (path != ScoringPath::kQuantized)
+    calibration = nullptr;
+  else if (calibration == nullptr)
+    calibration = &local.emplace(calibrate_quantization(*model));
+  auto plan = std::make_shared<const ScoringPlan>(*model, path, calibration);
   std::lock_guard<std::mutex> lock(plans_mutex_);
   plans_[model.get()] = PlanCacheEntry{model, plan};
   return plan;
@@ -571,20 +557,13 @@ void ServeEngine::score_cluster_units(std::size_t cluster,
     gens.push_back(&fallback);
   }
   const std::size_t G = config_.generations;
-  // Relaxed/quantized: one compiled plan per live generation, each built
-  // with the calibration checkpointed alongside that generation.
+  // One compiled plan per live generation (quantized plans use the
+  // calibration checkpointed alongside that generation). Plans only read
+  // the model weights, so no lock is held across the forwards.
   std::vector<std::shared_ptr<const ScoringPlan>> plans;
-  if (config_.scoring_path != ScoringPath::kStrict) {
-    plans.reserve(gens.size());
-    for (const ModelGeneration* gen : gens)
-      plans.push_back(plan_for(gen->model, gen->quant_calibration.get()));
-  }
-  // The cluster lock serializes every generation's forward for this
-  // cluster (MoE routing state is per-model, but the retrainer clones from
-  // these models concurrently — one lock per cluster keeps the contract
-  // simple and the batches of different clusters still run in parallel).
-  std::lock_guard<std::mutex> cluster_lock(cluster_locks_->lock(cluster));
-  Rng rng(0);  // eval-mode forwards are deterministic and never draw
+  plans.reserve(gens.size());
+  for (const ModelGeneration* gen : gens)
+    plans.push_back(plan_for(gen->model, gen->quant_calibration.get()));
   const std::size_t M = num_metrics_;
   std::size_t i = 0;
   while (i < units.size()) {
@@ -644,20 +623,8 @@ void ServeEngine::score_cluster_units(std::size_t cluster,
     for (std::size_t gi = 0; gi < gens.size(); ++gi) {
       const ModelGeneration& gen = *gens[gi];
       const bool newest = gi + 1 == gens.size();
-      // Strict: the canonical autograd forward, bitwise-stable for replay.
-      // Relaxed/quantized: the compiled plan — same math, vector rounding.
-      Tensor rec_all;
-      if (!plans.empty()) {
-        rec_all = plans[gi]->forward(x, offsets, seg_ids, block_lens,
-                                     scoring_workspace(), pool_);
-      } else {
-        // The newest generation's forward is the last reader of x.
-        rec_all = gen.model
-                      ->forward_blocked(
-                          Var::constant(newest ? std::move(x) : x.clone()),
-                          offsets, seg_ids, rng, block_lens)
-                      .value();
-      }
+      const Tensor rec_all = plans[gi]->forward(
+          x, offsets, seg_ids, block_lens, scoring_workspace(), pool_);
       base = 0;
       for (std::size_t k = i; k < j; ++k) {
         const PendingUnit& unit = units[k];

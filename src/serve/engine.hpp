@@ -8,11 +8,12 @@
 // packs queued units *across nodes* by matched cluster and submits one
 // thread-pool task per cluster; each task snapshots the cluster's
 // generation set from the GenerationRegistry (DESIGN.md §12) and runs one
-// batched forward per live generation (TransformerReconstructor::
-// forward_blocked, block-diagonal attention), so one model pass serves many
-// nodes while staying bit-identical to scoring each chunk alone. There is
-// one scoring path: a plain deployment is G = 1, Q = 1, whose one seed
-// generation is the fitted library model. finalize() closes open segments,
+// batched forward per live generation through that generation's compiled
+// ScoringPlan (block-diagonal attention; nn/scoring.hpp), so one model
+// pass serves many nodes while staying bit-identical to scoring each chunk
+// alone. There is one scoring path: a plain deployment is G = 1, Q = 1,
+// whose one seed generation is the fitted library model, and every
+// ScoringPath runs the same plan. finalize() closes open segments,
 // drains the pool, thresholds each generation lane with the shared path
 // (score_reference_levels / detection_flags) and takes the >= Q vote — on
 // clean data at G = 1 the result reproduces batch detect() (with
@@ -27,12 +28,13 @@
 // collector loop); pool tasks only touch the completed-unit queue and the
 // stats block, each behind its own mutex; stats() may be polled from any
 // monitor thread (it reads only the mutex-guarded stats block and the
-// atomic obs histograms — never ingest-owned state). A cluster's model never runs two
-// forwards concurrently (MoE layers keep mutable routing state), enforced
-// by a per-cluster mutex; parallelism comes from scoring different
-// clusters' batches at the same time. Ingest never blocks on scoring: the
-// pending-unit queue is bounded and drops its *oldest* unit past the cap
-// (counted in stats.units_dropped) rather than stalling the collector.
+// atomic obs histograms — never ingest-owned state). Scoring holds no
+// model lock: every forward runs an immutable ScoringPlan that only reads
+// the model's weights, so batches of any clusters — the same cluster
+// included, in this engine or in another fleet shard — run at the same
+// time. Ingest never blocks on scoring: the pending-unit queue is bounded
+// and drops its *oldest* unit past the cap (counted in
+// stats.units_dropped) rather than stalling the collector.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "core/nodesentry.hpp"
+#include "nn/scoring.hpp"
 #include "obs/registry.hpp"
 #include "serve/backend.hpp"
 #include "store/codec.hpp"
@@ -57,29 +60,6 @@ class ThreadPool;
 class GenerationRegistry;
 class Retrainer;
 class StoreWriter;
-class ScoringPlan;
-struct QuantCalibration;
-
-/// How serve-time forwards are evaluated (DESIGN.md §16).
-///
-/// Detection compares scores to k-sigma thresholds, so exact float
-/// reproducibility is a replay/testing concern, not a correctness one —
-/// the relaxed and quantized paths compute the same mathematical function
-/// with different rounding, and flag flips can only happen for scores
-/// already within rounding distance of the threshold.
-enum class ScoringPath {
-  /// Canonical model forwards (autograd graph, scalar-reproducible
-  /// kernels). Bitwise identical to batch detect() — the default, and
-  /// what serve_replay / compare_detections / all bitwise tests use
-  /// (the CLI's --strict-replay selects it).
-  kStrict = 0,
-  /// Compiled fp32 ScoringPlan: no graph, fused attention kernel, packed
-  /// q|k|v gemm, FastKernelScope vector math on the dispatched tier.
-  kRelaxed = 1,
-  /// kRelaxed plus int8 per-channel quantized encoder/MoE weights (the
-  /// calibration travels with each model generation).
-  kQuantized = 2,
-};
 
 struct ServeConfig {
   /// Worker threads for batched scoring; 0 = share the process-global pool.
@@ -110,10 +90,11 @@ struct ServeConfig {
   /// is on or off. Costs one extra [t, M] float plane per node; off by
   /// default, the incident correlator turns it on.
   bool attribution = false;
-  /// Forward-evaluation strategy (see ScoringPath). Strict by default:
-  /// opting into relaxed/quantized arithmetic is a deployment decision
-  /// (the serve CLI defaults to kQuantized with --strict-replay opting
-  /// back; replay/compare tooling always stays strict).
+  /// Forward-evaluation arithmetic of every scoring plan (see ScoringPath,
+  /// nn/scoring.hpp). Strict by default: opting into relaxed/quantized
+  /// arithmetic is a deployment decision (the serve CLI defaults to
+  /// kQuantized with --strict-replay opting back; replay/compare tooling
+  /// always stays strict).
   ScoringPath scoring_path = ScoringPath::kStrict;
 
   // ---- fleet-scale serving (DESIGN.md §14)
@@ -126,12 +107,6 @@ struct ServeConfig {
   /// preprocessing layer. With num_nodes <= fitted count the mapping is
   /// the identity and nothing changes.
   std::size_t num_nodes = 0;
-  /// Per-cluster forward locks shared ACROSS engines. A fleet's shard
-  /// engines score through the same fitted models, so the "one forward per
-  /// cluster at a time" invariant must hold fleet-wide; FleetEngine
-  /// injects one shared table into every shard. Null = the engine owns a
-  /// private table (the historic single-engine behavior).
-  std::shared_ptr<ClusterLockTable> cluster_locks;
 
   // ---- rolling generations + consensus (DESIGN.md §12)
   /// G: staggered model generations per cluster (1..8; a scored unit's
@@ -219,10 +194,6 @@ class ServeEngine final : public ServeBackend {
     /// Serve `nodes` node ids (fleet population; see ServeConfig::num_nodes).
     Options& population(std::size_t nodes) {
       config_.num_nodes = nodes;
-      return *this;
-    }
-    Options& cluster_locks(std::shared_ptr<ClusterLockTable> table) {
-      config_.cluster_locks = std::move(table);
       return *this;
     }
     /// Consensus over G generations with quorum Q (default G = Q = 1).
@@ -375,8 +346,8 @@ class ServeEngine final : public ServeBackend {
   void enqueue_unit(PendingUnit unit);
   void score_cluster_units(std::size_t cluster,
                            std::vector<PendingUnit> units);
-  /// Cached compiled ScoringPlan for one model (relaxed/quantized paths).
-  /// Plans are keyed by model identity; an entry whose model died (its
+  /// Cached compiled ScoringPlan (ServeConfig::scoring_path) for one
+  /// model. Plans are keyed by model identity; an entry whose model died (its
   /// generation was retired and freed) is rebuilt, so address reuse can
   /// never serve a stale plan. `calibration` is used only on the quantized
   /// path; null there means "calibrate from the weights now" (identical
@@ -407,10 +378,6 @@ class ServeEngine final : public ServeBackend {
 
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
-  /// One lock per cluster: a cluster's MoE layers keep mutable routing
-  /// state across forward(), so its batches must run serialized — and in a
-  /// fleet, serialized across ALL shard engines (the table is shared).
-  std::shared_ptr<ClusterLockTable> cluster_locks_;
 
   /// Scoring state. The engine owns the registry unless an external one
   /// was supplied. One score timeline per generation lane (lane =
@@ -442,8 +409,8 @@ class ServeEngine final : public ServeBackend {
   mutable std::mutex results_mutex_;
   std::vector<ScoredUnit> scored_ready_;
 
-  /// Compiled-plan cache for the relaxed/quantized paths (empty in strict
-  /// mode). `alive` detects model-address reuse after a generation dies.
+  /// Compiled-plan cache. `alive` detects model-address reuse after a
+  /// generation dies.
   struct PlanCacheEntry {
     std::weak_ptr<const TransformerReconstructor> alive;
     std::shared_ptr<const ScoringPlan> plan;

@@ -7,12 +7,13 @@
 // that owns that shard's engine (reorder stash, pending queue, scoring
 // dispatch). The shards SHARE everything that must stay fleet-wide
 // consistent — the fitted cluster library (read-only), one
-// GenerationRegistry, one ClusterLockTable (a cluster's model never runs
-// two forwards anywhere in the fleet), one obs::Registry (so the latency
-// instruments are fleet-wide automatically), and optionally one
-// StoreWriter — and own everything per-node (stashes, segments, score
-// timelines), which is what makes the split embarrassingly parallel:
-// every node's samples land on exactly one shard, in order.
+// GenerationRegistry, one obs::Registry (so the latency instruments are
+// fleet-wide automatically), and optionally one StoreWriter — and own
+// everything per-node (stashes, segments, score timelines), which is what
+// makes the split embarrassingly parallel: every node's samples land on
+// exactly one shard, in order. Scoring needs no fleet-wide lock: each
+// shard scores through immutable ScoringPlans that only read the shared
+// models' weights, so shards may score the same cluster at the same time.
 //
 // finalize() closes the rings, joins the workers, finalizes each shard,
 // and merges: detections come from each node's owner shard (the others
@@ -78,10 +79,10 @@ struct FleetConfig {
   /// naps (~100us) instead of spinning.
   std::size_t worker_idle_polls = 64;
   /// Template for every shard engine. `num_nodes` is the FLEET population
-  /// (0 = the fitted dataset's); `cluster_locks` and `generation_registry`
-  /// are overridden with fleet-shared instances, everything else passes
-  /// through verbatim (registry/store_writer/retrainer are already safe to
-  /// share — see the file comment).
+  /// (0 = the fitted dataset's); `generation_registry` is overridden with
+  /// the fleet-shared instance, everything else passes through verbatim
+  /// (registry/store_writer/retrainer are already safe to share — see the
+  /// file comment).
   ServeConfig engine;
 };
 
@@ -144,9 +145,7 @@ class FleetEngine final : public ServeBackend {
   std::size_t start_t_ = 0;
   bool finalized_ = false;
 
-  /// Fleet-shared: per-cluster forward locks and the one generation
-  /// registry every shard scores through.
-  std::shared_ptr<ClusterLockTable> cluster_locks_;
+  /// Fleet-shared: the one generation registry every shard scores through.
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
 

@@ -58,8 +58,7 @@ GenerationRegistry::GenerationRegistry(std::size_t num_clusters,
   slots_.reserve(num_clusters);
   for (std::size_t c = 0; c < num_clusters; ++c) {
     slots_.push_back(std::make_unique<ClusterSlot>());
-    slots_.back()->current.store(std::make_shared<const GenerationSet>(),
-                                 std::memory_order_release);
+    slots_.back()->store(std::make_shared<const GenerationSet>());
   }
   obs_ = obs_registry ? obs_registry : &obs::Registry::global();
   active_gauges_.reserve(num_clusters);
@@ -105,7 +104,7 @@ std::shared_ptr<const GenerationSet> GenerationRegistry::snapshot(
     std::size_t cluster) const {
   NS_REQUIRE(cluster < slots_.size(),
              "generation registry: cluster " << cluster << " out of range");
-  return slots_[cluster]->current.load(std::memory_order_acquire);
+  return slots_[cluster]->load();
 }
 
 std::uint64_t GenerationRegistry::publish(std::size_t cluster,
@@ -117,7 +116,7 @@ std::uint64_t GenerationRegistry::publish(std::size_t cluster,
   std::lock_guard<std::mutex> lock(slot.writer_mutex);
   gen.gen_id = slot.next_gen_id++;
   const std::uint64_t id = gen.gen_id;
-  auto old = slot.current.load(std::memory_order_acquire);
+  auto old = slot.load();
   auto next = std::make_shared<GenerationSet>(*old);
   next->generations.push_back(std::move(gen));
   std::size_t retired = 0;
@@ -129,8 +128,7 @@ std::uint64_t GenerationRegistry::publish(std::size_t cluster,
     ++retired;
   }
   update_gauges(cluster, *next);
-  slot.current.store(std::shared_ptr<const GenerationSet>(std::move(next)),
-                     std::memory_order_release);
+  slot.store(std::move(next));
   epoch_.fetch_add(1, std::memory_order_relaxed);
   published_counter_->inc();
   if (retired > 0) retired_counter_->inc(retired);
@@ -143,7 +141,7 @@ bool GenerationRegistry::quarantine(std::size_t cluster,
              "generation registry: cluster " << cluster << " out of range");
   ClusterSlot& slot = *slots_[cluster];
   std::lock_guard<std::mutex> lock(slot.writer_mutex);
-  auto old = slot.current.load(std::memory_order_acquire);
+  auto old = slot.load();
   auto next = std::make_shared<GenerationSet>(*old);
   bool found = false;
   for (ModelGeneration& gen : next->generations)
@@ -153,8 +151,7 @@ bool GenerationRegistry::quarantine(std::size_t cluster,
     }
   if (!found) return false;
   update_gauges(cluster, *next);
-  slot.current.store(std::shared_ptr<const GenerationSet>(std::move(next)),
-                     std::memory_order_release);
+  slot.store(std::move(next));
   quarantined_counter_->inc();
   return true;
 }
@@ -281,8 +278,7 @@ void GenerationRegistry::load(const std::string& directory,
     std::lock_guard<std::mutex> lock(slot.writer_mutex);
     slot.next_gen_id = count > 0 ? max_id + 1 : 0;
     update_gauges(c, *set);
-    slot.current.store(std::shared_ptr<const GenerationSet>(std::move(set)),
-                       std::memory_order_release);
+    slot.store(std::move(set));
   }
 }
 

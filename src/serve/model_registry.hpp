@@ -2,15 +2,19 @@
 // RCU-style epoch scheme (DESIGN.md §12).
 //
 // Each cluster holds up to G staggered generations of its shared
-// reconstruction model. Readers (the serve engine's scoring tasks) grab an
-// immutable snapshot of the whole generation set with one atomic
-// shared_ptr load and never block; writers (the background retrainer)
-// build a new set off to the side and publish it with one atomic store
-// under a per-cluster writer mutex. Publishing a generation past the cap
+// reconstruction model. Readers (the serve engine's scoring tasks, once
+// per scored batch) grab an immutable snapshot of the whole generation set
+// by copying one shared_ptr under a per-cluster slot mutex, held only for
+// that copy; writers (the background retrainer) build a new set off to the
+// side under a per-cluster writer mutex and publish it by swapping the
+// pointer under the slot mutex. The previous set is released after the
+// slot mutex drops, so a reader never waits on a model being freed. A
+// plain mutex (not std::atomic<std::shared_ptr>) keeps every access
+// visible to ThreadSanitizer. Publishing a generation past the cap
 // retires the oldest from the set — but a reader still holding the old
 // snapshot keeps the retired model alive through its shared_ptr until the
 // last in-flight forward finishes, which is exactly the RCU grace period:
-// no epoch counters, no reader registration, no blocking.
+// no epoch counters, no reader registration.
 //
 // The full generation set checkpoints through the CRC-framed machinery
 // (common/fileio.hpp): one framed file per cluster, index written last, so
@@ -78,15 +82,16 @@ class GenerationRegistry {
   /// and copies its residual statistics. Call once before serving.
   void seed_from_library(const ClusterLibrary& library);
 
-  /// RCU read side: one acquire load, never blocks, never returns null
-  /// after seeding (an unseeded cluster returns an empty set). The caller
+  /// RCU read side: one shared_ptr copy under the slot mutex (held for
+  /// that copy only); never returns null (an unseeded cluster returns an
+  /// empty set). The caller
   /// may keep the snapshot across a whole batched forward; retired
   /// generations it references stay alive until it drops the pointer.
   std::shared_ptr<const GenerationSet> snapshot(std::size_t cluster) const;
 
   /// RCU write side: appends `gen` (gen_id assigned internally), retiring
   /// the oldest generation when the set exceeds max_generations. The new
-  /// set becomes visible to readers in one atomic store; concurrent
+  /// set becomes visible to readers in one pointer swap; concurrent
   /// publishes to the same cluster serialize on the writer mutex. Returns
   /// the assigned gen_id.
   std::uint64_t publish(std::size_t cluster, ModelGeneration gen);
@@ -115,7 +120,20 @@ class GenerationRegistry {
 
  private:
   struct ClusterSlot {
-    std::atomic<std::shared_ptr<const GenerationSet>> current;
+    std::shared_ptr<const GenerationSet> load() const {
+      std::lock_guard<std::mutex> lock(current_mutex);
+      return current;
+    }
+    /// Swaps in `set`; the previous set is released after the unlock.
+    void store(std::shared_ptr<const GenerationSet> set) {
+      {
+        std::lock_guard<std::mutex> lock(current_mutex);
+        current.swap(set);
+      }
+    }
+
+    mutable std::mutex current_mutex;
+    std::shared_ptr<const GenerationSet> current;  ///< guarded by current_mutex
     std::mutex writer_mutex;
     std::uint64_t next_gen_id = 0;  ///< guarded by writer_mutex
   };

@@ -275,8 +275,7 @@ Var vsoftmax_rows(const Var& x) {
 }
 
 Var vblock_attention(const Var& q, const Var& k, const Var& v,
-                     std::span<const std::size_t> block_lens, float scale,
-                     const Tensor* attn_bias) {
+                     std::span<const std::size_t> block_lens, float scale) {
   const Tensor& qv = q.value();
   const Tensor& kv = k.value();
   const Tensor& vv = v.value();
@@ -293,19 +292,16 @@ Var vblock_attention(const Var& q, const Var& k, const Var& v,
   }
   NS_REQUIRE(total == T, "vblock_attention block lengths sum to "
                              << total << " but q has " << T << " rows");
-  if (attn_bias != nullptr)
-    NS_REQUIRE(attn_bias->rank() == 2 && attn_bias->size(0) == T &&
-                   attn_bias->size(1) == T,
-               "vblock_attention bias must be [" << T << "," << T << "]");
 
-  // Forward: per block, the exact kernel sequence of the composed op chain
-  // (matmul / scale / softmax_rows / matmul on row-slices), so the output
-  // is bitwise identical to it. Per-block attention weights are kept for
-  // the backward pass; every other temporary comes from the thread-local
-  // arena. Blocks are independent — disjoint output rows, one owned attn
-  // slot each, per-worker scratch arenas — and each block's arithmetic
-  // never depends on the partition, so fanning the loop out across the
-  // pool above kBlockAttentionParallelFlops stays bitwise identical to the
+  // Forward: per block, attention_block_into's chain (transpose / matmul /
+  // scale / softmax_rows / matmul on the block's rows — the kernel sequence
+  // of the composed op chain, so the output is bitwise identical to it).
+  // Per-block attention weights are kept for the backward pass; the kᵀ
+  // scratch comes from the thread-local arena. Blocks are independent —
+  // disjoint output rows, one owned attn slot each, per-worker scratch
+  // arenas — and each block's arithmetic never depends on the partition,
+  // so fanning the loop out across the pool above
+  // kBlockAttentionParallelFlops stays bitwise identical to the
   // sequential order. This is what lets a single cluster's B-chunk forward
   // shard across workers even though every per-block matmul is far below
   // the matmul parallel threshold.
@@ -329,44 +325,14 @@ Var vblock_attention(const Var& q, const Var& k, const Var& v,
   const auto run_block = [&](std::size_t b) {
     std::optional<FastKernelScope> fast;
     if (caller_fast) fast.emplace();
-    Workspace& ws = backward_workspace();  // thread-local: one per worker
     const std::size_t len = block_lens[b];
-    const std::size_t base = bases[b];
-    Tensor qb = ws.acquire(Shape{len, dh});
-    Tensor kb = ws.acquire(Shape{len, dh});
-    Tensor vb = ws.acquire(Shape{len, dh});
-    std::copy_n(qv.data() + base * dh, len * dh, qb.data());
-    std::copy_n(kv.data() + base * dh, len * dh, kb.data());
-    std::copy_n(vv.data() + base * dh, len * dh, vb.data());
-    Tensor kt = ws.acquire(Shape{dh, len});
-    transpose2d_into(kt, kb);
-    Tensor raw = ws.acquire(Shape{len, len});
-    matmul_into(raw, qb, kt);
-    scale_into(raw, raw, scale);
-    if (attn_bias != nullptr) {
-      // Constant additive bias on the pre-softmax scores, reading the
-      // block's diagonal sub-square. Same elementwise add (post-scale) as
-      // the composed vadd, so values stay bitwise identical; no gradient
-      // flows to the bias, and the softmax backward only needs the cached
-      // attn weights, so the backward pass is unchanged.
-      for (std::size_t i = 0; i < len; ++i) {
-        const float* brow = attn_bias->data() + (base + i) * T + base;
-        float* rrow = raw.data() + i * len;
-        for (std::size_t j = 0; j < len; ++j) rrow[j] += brow[j];
-      }
-    }
+    const std::size_t at = bases[b] * dh;
     Tensor attn(Shape{len, len});  // owned: cached for backward
-    softmax_rows_into(attn, raw);
-    Tensor ob = ws.acquire(Shape{len, dh});
-    matmul_into(ob, attn, vb);
-    std::copy_n(ob.data(), len * dh, out.data() + base * dh);
+    attention_block_into(
+        out.data() + at, attn, qv.data() + at, kv.data() + at, vv.data() + at,
+        len, dh, scale, backward_workspace(),  // thread-local: one per worker
+        /*fold_scale=*/false);
     attn_cache[b] = std::move(attn);
-    ws.release(std::move(qb));
-    ws.release(std::move(kb));
-    ws.release(std::move(vb));
-    ws.release(std::move(kt));
-    ws.release(std::move(raw));
-    ws.release(std::move(ob));
   };
   if (block_lens.size() > 1 &&
       score_flops >= kBlockAttentionParallelFlops) {

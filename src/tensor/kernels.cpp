@@ -395,8 +395,11 @@ __attribute__((target("avx2,fma"))) void gelu_backward_fast(
   }
 }
 
-// Fused scale+softmax for block_attention_into: exp(scale*(x - max)) in one
-// vector pass, 8 lanes at a time.
+// Fused in-place softmax(scale * x) over rows for the relaxed attention
+// path: because scale > 0, max(scale*x) == scale*max(x), so the exponent
+// is evaluated as scale*(x - max) in one vector pass, 8 lanes at a time —
+// the scaled logits are never materialized. A valid float softmax, but not
+// bitwise identical to scale_into + softmax_rows_into.
 __attribute__((target("avx2,fma"))) void softmax_scaled_rows_fast(
     float* x, std::size_t rows, std::size_t cols, float scale) {
   const __m256 vscale = _mm256_set1_ps(scale);
@@ -681,34 +684,6 @@ void softmax_scaled_rows_fast(float* x, std::size_t rows, std::size_t cols,
 }
 #endif  // NS_AARCH64
 
-// In-place softmax(scale * x) over rows of a [rows, cols] matrix. Because
-// scale > 0, max(scale*x) == scale*max(x), so the exponent is evaluated as
-// scale*(x - max) in one fused pass — the scaled logits are never
-// materialized. Used only by block_attention_into (relaxed path); the
-// result is a valid float softmax but not bitwise identical to
-// scale_into + softmax_rows_into.
-void softmax_scaled_rows_inplace(float* x, std::size_t rows, std::size_t cols,
-                                 float scale) {
-#if defined(NS_X86_64) || defined(NS_AARCH64)
-  if (fast_kernels_enabled()) {
-    softmax_scaled_rows_fast(x, rows, cols, scale);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < rows; ++i) {
-    float* row = x + i * cols;
-    float mx = row[0];
-    for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, row[j]);
-    double denom = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      row[j] = std::exp(scale * (row[j] - mx));
-      denom += row[j];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t j = 0; j < cols; ++j) row[j] *= inv;
-  }
-}
-
 }  // namespace
 
 FastKernelScope::FastKernelScope() { ++fast_kernel_depth; }
@@ -808,20 +783,15 @@ void add_scalar_into(Tensor& dst, const Tensor& a, float s) {
   for (std::size_t i = 0; i < a.numel(); ++i) po[i] = pa[i] + s;
 }
 
-void matmul_into(Tensor& dst, const Tensor& a, const Tensor& b,
-                 ThreadPool* pool) {
-  check_matmul_shapes(a, b, "matmul");
-  const std::size_t m = a.size(0), k = a.size(1), n = b.size(1);
-  NS_REQUIRE(dst.data() != a.data() && dst.data() != b.data(),
-             "matmul_into: dst must not alias an operand");
-  ensure_shape(dst, Shape{m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = dst.data();
-  const std::size_t flops = 2 * m * n * k;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  // Sample the fast-gemm flag on the calling thread so every row-block of
-  // this call uses the same kernel regardless of which worker runs it.
+namespace {
+
+// C[m,n] = A[m,k] @ B[k,n] on raw row-major operands: the fast-gemm flag
+// is sampled on the calling thread so every row-block of one call uses the
+// same kernel regardless of which worker runs it, and above
+// kMatmulParallelFlops fixed row-blocks fan out across `pool` (global pool
+// when nullptr) — bitwise identical to the sequential call either way.
+void gemm_into(const float* pa, const float* pb, float* po, std::size_t m,
+               std::size_t k, std::size_t n, ThreadPool* pool) {
   using GemmFn = void (*)(const float*, const float*, float*, std::size_t,
                           std::size_t, std::size_t, std::size_t);
   GemmFn kernel = &gemm_rows;
@@ -830,15 +800,28 @@ void matmul_into(Tensor& dst, const Tensor& a, const Tensor& b,
 #elif defined(NS_AARCH64)
   if (fast_kernels_enabled()) kernel = &gemm_rows_neon;
 #endif
-  if (flops < kMatmulParallelFlops || m <= kRowBlock) {
+  if (2 * m * n * k < kMatmulParallelFlops || m <= kRowBlock) {
     kernel(pa, pb, po, 0, m, k, n);
     return;
   }
+  if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
   pool->parallel_for(0, blocks, 1, [&](std::size_t blk) {
     const std::size_t lo = blk * kRowBlock;
     kernel(pa, pb, po, lo, std::min(m, lo + kRowBlock), k, n);
   });
+}
+
+}  // namespace
+
+void matmul_into(Tensor& dst, const Tensor& a, const Tensor& b,
+                 ThreadPool* pool) {
+  check_matmul_shapes(a, b, "matmul");
+  const std::size_t m = a.size(0), k = a.size(1), n = b.size(1);
+  NS_REQUIRE(dst.data() != a.data() && dst.data() != b.data(),
+             "matmul_into: dst must not alias an operand");
+  ensure_shape(dst, Shape{m, n});
+  gemm_into(a.data(), b.data(), dst.data(), m, k, n, pool);
 }
 
 void transpose2d_into(Tensor& dst, const Tensor& a) {
@@ -985,6 +968,29 @@ void layernorm_rows_into(Tensor& dst, const Tensor& x, const Tensor& gain,
   }
 }
 
+void attention_block_into(float* out, Tensor& attn, const float* q,
+                          const float* k, const float* v, std::size_t len,
+                          std::size_t dh, float scale, Workspace& ws,
+                          bool fold_scale) {
+  Tensor kt = ws.acquire(Shape{dh, len});
+  float* pkt = kt.data();
+  for (std::size_t r = 0; r < len; ++r)
+    for (std::size_t c = 0; c < dh; ++c) pkt[c * len + r] = k[r * dh + c];
+  ensure_shape(attn, Shape{len, len});
+  gemm_into(q, pkt, attn.data(), len, dh, len, nullptr);
+  ws.release(std::move(kt));
+#if defined(NS_X86_64) || defined(NS_AARCH64)
+  if (fold_scale && fast_kernels_enabled()) {
+    softmax_scaled_rows_fast(attn.data(), len, len, scale);
+  } else
+#endif
+  {
+    scale_into(attn, attn, scale);
+    softmax_rows_into(attn, attn);
+  }
+  gemm_into(attn.data(), v, out, len, len, dh, nullptr);
+}
+
 void block_attention_into(Tensor& out, const Tensor& q, const Tensor& k,
                           const Tensor& v,
                           std::span<const std::size_t> block_lens, float scale,
@@ -1002,29 +1008,14 @@ void block_attention_into(Tensor& out, const Tensor& q, const Tensor& k,
                  out.data() != v.data(),
              "block_attention_into: dst must not alias an operand");
   ensure_shape(out, q.shape());
-  // Sample the fast flag once so every block of this call agrees.
-  using GemmFn = void (*)(const float*, const float*, float*, std::size_t,
-                          std::size_t, std::size_t, std::size_t);
-  GemmFn kernel = &gemm_rows;
-#if defined(NS_X86_64)
-  if (fast_kernels_enabled()) kernel = &gemm_rows_fma;
-#elif defined(NS_AARCH64)
-  if (fast_kernels_enabled()) kernel = &gemm_rows_neon;
-#endif
   std::size_t base = 0;
   for (std::size_t len : block_lens) {
     if (len == 0) continue;
-    Tensor kt = ws.acquire(Shape{dh, len});
-    const float* kb = k.data() + base * dh;
-    float* pkt = kt.data();
-    for (std::size_t r = 0; r < len; ++r)
-      for (std::size_t c = 0; c < dh; ++c) pkt[c * len + r] = kb[r * dh + c];
+    const std::size_t at = base * dh;
     Tensor attn = ws.acquire(Shape{len, len});
-    kernel(q.data() + base * dh, pkt, attn.data(), 0, len, dh, len);
-    softmax_scaled_rows_inplace(attn.data(), len, len, scale);
-    kernel(attn.data(), v.data() + base * dh, out.data() + base * dh, 0, len,
-           len, dh);
-    ws.release(std::move(kt));
+    attention_block_into(out.data() + at, attn, q.data() + at, k.data() + at,
+                         v.data() + at, len, dh, scale, ws,
+                         /*fold_scale=*/true);
     ws.release(std::move(attn));
     base += len;
   }

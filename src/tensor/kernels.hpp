@@ -35,8 +35,8 @@ class ThreadPool;
 // on the calling thread. Exposed so tests can pick shapes on either side.
 inline constexpr std::size_t kMatmulParallelFlops = std::size_t{1} << 22;
 
-// Parallelization threshold for block-diagonal attention (vblock_attention
-// and block_attention_into): total score-stage FLOPs (4 * dh * sum(len^2))
+// Parallelization threshold for block-diagonal attention in
+// vblock_attention: total score-stage FLOPs (4 * dh * sum(len^2))
 // above which the per-block loop fans out across the thread pool. Much
 // lower than kMatmulParallelFlops because each block is an independent
 // chain of small matmuls — a single cluster's batched forward (e.g. 8
@@ -152,16 +152,29 @@ class Workspace {
   std::size_t reuse_count_ = 0;
 };
 
-/// Fused block-diagonal attention for the forward-only scoring path:
+/// One attention block: out[len,dh] = softmax(scale · q kᵀ) v on `len`
+/// contiguous rows of width dh — the per-block chain both vblock_attention
+/// and block_attention_into run. The canonical order is kᵀ by transpose,
+/// attn = q kᵀ, attn *= scale, attn = softmax_rows(attn), out = attn v,
+/// every step a canonical kernel unless a FastKernelScope is open. With
+/// `fold_scale` inside a FastKernelScope the scale folds into one vector
+/// softmax pass instead (relaxed paths only). `attn` receives the
+/// [len, len] weights; kᵀ scratch comes from `ws`.
+void attention_block_into(float* out, Tensor& attn, const float* q,
+                          const float* k, const float* v, std::size_t len,
+                          std::size_t dh, float scale, Workspace& ws,
+                          bool fold_scale);
+
+/// Block-diagonal attention for the forward-only ScoringPlan:
 /// out[T,dh] = softmax(scale · q kᵀ) v, evaluated independently per block
-/// of `block_lens` (which must cover all T rows). Unlike the autograd op
-/// (vblock_attention) this kernel never copies q/k/v blocks (it reads the
-/// contiguous row ranges in place), fuses the scale into the softmax
-/// exponent, and keeps no attention matrices for a backward pass. Inside a
-/// FastKernelScope the gemms and the fused softmax run the dispatch tier's
-/// vector variants, so results are NOT bitwise comparable to the canonical
-/// op — relaxed serving paths only. dst must not alias q/k/v; scratch comes
-/// from `ws`.
+/// of `block_lens` (which must cover all T rows) by attention_block_into
+/// on the contiguous row ranges in place — no q/k/v copies, no attention
+/// matrices kept for a backward pass. Outside a FastKernelScope every
+/// block runs the canonical chain, so the output is bitwise
+/// vblock_attention's (the strict serve path relies on this). Inside one
+/// the gemms run the dispatch tier's vector variants and the scale folds
+/// into the softmax — relaxed serving paths only. dst must not alias
+/// q/k/v; scratch comes from `ws`.
 void block_attention_into(Tensor& out, const Tensor& q, const Tensor& k,
                           const Tensor& v,
                           std::span<const std::size_t> block_lens, float scale,

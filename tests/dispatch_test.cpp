@@ -1,12 +1,14 @@
 // Relaxed-arithmetic serve path tests (DESIGN.md §16): runtime kernel
 // dispatch, FastKernelScope nesting semantics, int8 quantization
 // round-trips, ScoringPlan vs canonical-model equivalence (the ULP
-// harness), the strict-replay bitwise regression pin, the epsilon-band
-// property on flag disagreements, and the score-timeline reallocation
-// bound.
+// harness for relaxed/quantized, bitwise for the strict plan), the
+// strict-replay bitwise regression pin, lock-free same-cluster fleet
+// scoring, the epsilon-band property on flag disagreements, and the
+// score-timeline reallocation bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -22,9 +24,11 @@
 #include "nn/transformer.hpp"
 #include "obs/registry.hpp"
 #include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/replay.hpp"
 #include "sim/dataset_builder.hpp"
+#include "sim/stream.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/quant.hpp"
 
@@ -285,6 +289,93 @@ TEST_F(ScoringPlanTest, CalibrationTraversalCountMatchesArchitecture) {
   QuantCalibration bad = calib;
   bad.channel_scales.pop_back();
   EXPECT_THROW(ScoringPlan(model, &bad), Error);
+  // Calibration belongs to the quantized path only.
+  EXPECT_THROW(ScoringPlan(model, ScoringPath::kStrict, &calib), Error);
+  EXPECT_THROW(ScoringPlan(model, ScoringPath::kQuantized), Error);
+}
+
+// ---------------------------------------------------------------------------
+// The strict plan is the model's eval forward, bit for bit
+
+void expect_bitwise_equal(const Tensor& got, const Tensor& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.shape(), want.shape()) << label;
+  for (std::size_t i = 0; i < want.numel(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
+              std::bit_cast<std::uint32_t>(want.data()[i]))
+        << label << ", element " << i;
+}
+
+// 3 architectures x {1, 3, 12} attention blocks x {calling thread, pool
+// worker}, under a 1-thread and a 4-thread pool. The 12-block batch has
+// 768 rows, so the packed q|k|v gemm clears kMatmulParallelFlops and fans
+// out over the 4-thread pool when called from outside it; offsets and
+// segment ids run past max_position / max_segments to cover the clamps.
+TEST(StrictPlan, BitwiseEqualsForwardBlockedAtAnyPoolSize) {
+  struct Variant {
+    const char* name;
+    bool moe;
+    std::size_t top_k;
+    bool segment_term;
+  };
+  const Variant variants[] = {{"moe top-1", true, 1, true},
+                              {"moe top-2", true, 2, true},
+                              {"dense ffn, no segment term", false, 1, false}};
+  const std::size_t block_counts[] = {1, 3, 12};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    for (const Variant& variant : variants) {
+      TransformerConfig config;
+      config.input_dim = 10;
+      config.d_model = 32;
+      config.num_layers = 2;
+      config.num_heads = 4;
+      config.ffn_hidden = 48;
+      config.use_moe = variant.moe;
+      config.num_experts = 4;
+      config.top_k = variant.top_k;
+      config.use_segment_encoding = variant.segment_term;
+      config.max_position = 64;
+      config.max_segments = 8;
+      Rng rng(101);
+      TransformerReconstructor model(config, rng);
+      model.set_training(false);
+      const ScoringPlan plan(model, ScoringPath::kStrict);
+      for (const std::size_t blocks : block_counts) {
+        std::vector<std::size_t> lens, offsets, seg_ids;
+        for (std::size_t b = 0; b < blocks; ++b) {
+          lens.push_back(blocks == 1 ? 96 : 40 + (b * 13) % 50);
+          for (std::size_t r = 0; r < lens.back(); ++r) {
+            offsets.push_back(r + 8 * b);
+            seg_ids.push_back(b);
+          }
+        }
+        Rng data_rng(202 + blocks);
+        const Tensor x = random_matrix(offsets.size(), config.input_dim,
+                                       data_rng);
+        Rng fwd_rng(0);
+        const Tensor want =
+            model.forward_blocked(Var::constant(x.clone()), offsets, seg_ids,
+                                  fwd_rng, lens)
+                .value();
+        const std::string label = std::string(variant.name) + ", " +
+                                  std::to_string(blocks) + " blocks, " +
+                                  std::to_string(threads) + "-thread pool";
+        Workspace ws;
+        expect_bitwise_equal(
+            plan.forward(x, offsets, seg_ids, lens, ws, &pool), want,
+            label + ", calling thread");
+        Tensor on_worker;
+        pool.submit([&] {
+              Workspace worker_ws;
+              on_worker =
+                  plan.forward(x, offsets, seg_ids, lens, worker_ws, &pool);
+            })
+            .get();
+        expect_bitwise_equal(on_worker, want, label + ", pool worker");
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,6 +542,54 @@ TEST_F(DispatchServeFixture, FlagDisagreementsOnlyInThresholdEpsilonBand) {
             0.005 * static_cast<double>(engine_points))
       << engine_mismatches << " of " << engine_points
       << " engine predictions disagree";
+}
+
+// Scoring holds no model lock, so fleet shards may score the same cluster
+// at the same time. Every fitted node gets three twins (same samples, same
+// standardization profile) spread over four shards: each matched segment
+// is scored by several shards at once, through the same shared models.
+// The fleet must still equal a lone engine serving the same population
+// bit for bit (and stay race-free under ThreadSanitizer).
+TEST_F(DispatchServeFixture, FleetShardsScoringOneClusterAtOnceMatchLoneEngine) {
+  const std::size_t fitted = sim_->data.num_nodes();
+  const std::size_t copies = 4;
+  FleetConfig fleet_config;
+  fleet_config.shards = 4;
+  fleet_config.engine.num_nodes = fitted * copies;
+  FleetEngine fleet(*sentry_, fleet_config);
+  ServeEngine lone(*sentry_, fleet_config.engine);
+  std::vector<bool> shard_used(fleet_config.shards, false);
+  for (std::size_t c = 0; c < copies; ++c)
+    shard_used[fleet.placement().shard_for(c * fitted)] = true;
+  ASSERT_GT(std::count(shard_used.begin(), shard_used.end(), true), 1)
+      << "node 0's twins must live on different shards";
+
+  TelemetryReplaySource source(sim_->data, sim_->train_end);
+  StreamSample sample;
+  while (source.next(sample)) {
+    for (std::size_t c = 0; c < copies; ++c) {
+      StreamSample twin = sample;
+      twin.node = sample.node + c * fitted;
+      fleet.ingest(twin);
+      lone.ingest(twin);
+    }
+  }
+  const ServeResult sharded = fleet.finalize();
+  const ServeResult single = lone.finalize();
+  ASSERT_EQ(sharded.detections.size(), fitted * copies);
+  ASSERT_EQ(single.detections.size(), fitted * copies);
+  EXPECT_GT(sharded.stats.points_scored, 0u);
+  EXPECT_EQ(sharded.stats.points_scored, single.stats.points_scored);
+  for (std::size_t n = 0; n < single.detections.size(); ++n) {
+    const NodeDetection& a = sharded.detections[n];
+    const NodeDetection& b = single.detections[n];
+    ASSERT_EQ(a.scores.size(), b.scores.size()) << "node " << n;
+    for (std::size_t t = 0; t < b.scores.size(); ++t)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(a.scores[t]),
+                std::bit_cast<std::uint32_t>(b.scores[t]))
+          << "node " << n << " t " << t;
+    ASSERT_EQ(a.predictions, b.predictions) << "node " << n;
+  }
 }
 
 // Satellite bugfix pin: committing T rows must not reallocate the score

@@ -113,7 +113,9 @@ TEST_P(PointAdjustPropertyTest, AdjustmentNeverRemovesPredictions) {
     EXPECT_GE(adjusted[i], preds[i]) << "adjustment removed a prediction";
   // Expansion only happens on labeled points.
   for (std::size_t i = 0; i < n; ++i)
-    if (adjusted[i] && !preds[i]) EXPECT_TRUE(labels[i]);
+    if (adjusted[i] && !preds[i]) {
+      EXPECT_TRUE(labels[i]);
+    }
 }
 
 TEST_P(PointAdjustPropertyTest, MetricsBoundedAndConsistent) {
